@@ -91,7 +91,7 @@ class ValueSet:
         return v >= 0 and self.mask >> v & 1 == 1
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -107,9 +107,6 @@ class ValueSet:
 
     def disjoint_from(self, other: "ValueSet") -> bool:
         return self.mask & other.mask == 0
-
-    def with_value(self, v: int) -> "ValueSet":
-        return ValueSet(self.mask | 1 << v)
 
 
 def j_value(members: ValueSet, x: int, k: int) -> int:
@@ -177,9 +174,6 @@ class Interval:
     def points(self) -> list[Point]:
         """Full point set, lexicographically ordered."""
         return [tuple(p) for p in itertools.product(*(f.values() for f in self.factors))]
-
-    def with_factor(self, j: int, f: ValueSet) -> "Interval":
-        return Interval(self.k, self.factors[:j] + (f,) + self.factors[j + 1 :])
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,9 +382,6 @@ class PartialKFunction:
 
     def items(self) -> tuple[tuple[Point, int], ...]:
         return self._items
-
-    def zero_set(self) -> frozenset[Point]:
-        return frozenset(p for p, v in self._items if v == 0)
 
     def level_sets(self) -> tuple[tuple[int, frozenset[Point]], ...]:
         """Nonzero defined sets as (value, points), ascending by value."""

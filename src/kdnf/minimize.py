@@ -238,15 +238,20 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     Cost order is lexicographic: primary objective, secondary objective, then
     the canonical term-key tuple, so the winner is deterministic.
     """
-    need = frozenset(range(len(level.universe)))
+    points = range(len(level.universe))
+    need = frozenset(points)
     keys = [t.sort_key() for t in level.candidates]
+    costs = [_term_cost(t, metric) for t in level.candidates]
+    # candidates covering each point, in index order, and the branch order
+    holders = [[i for i, c in enumerate(level.covers) if u in c] for u in points]
+    branch_key = [(len(h), u) for u, h in enumerate(holders)]
     best: list[tuple] = [()]
     found: list[bool] = [False]
 
     def solution_key(chosen: tuple[int, ...]) -> tuple:
         p, s = 0, 0
         for i in chosen:
-            cp, cs = _term_cost(level.candidates[i], metric)
+            cp, cs = costs[i]
             p, s = p + cp, s + cs
         return (p, s, tuple(sorted(keys[i] for i in chosen)))
 
@@ -263,15 +268,11 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
             if not found[0] or key < best[0]:
                 best[0], found[0] = key, True
             return
-        # branch on the uncovered point with the fewest remaining candidates
-        uncovered = need - covered
-        target = min(
-            uncovered, key=lambda i: (sum(1 for c in level.covers if i in c), i)
-        )
-        for i, cov in enumerate(level.covers):
-            if target in cov:
-                cp, cs = _term_cost(level.candidates[i], metric)
-                dfs(covered | cov, chosen + (i,), p + cp, s + cs)
+        # branch on the uncovered point with the fewest covering candidates
+        target = min(need - covered, key=branch_key.__getitem__)
+        for i in holders[target]:
+            cp, cs = costs[i]
+            dfs(covered | level.covers[i], chosen + (i,), p + cp, s + cs)
 
     dfs(frozenset(), (), 0, 0)
     chosen_keys = best[0][2]

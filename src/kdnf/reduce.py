@@ -1,26 +1,31 @@
 """Maximal-interval enumeration and reduced DNF construction.
 
 An interval is maximal inside a carrier set when it lies in the carrier and
-no strictly larger interval does.  The reduced DNF of a total function takes,
-for each attained level, every maximal interval of that level's carrier that
-meets the level set, at that level.  For a partially defined function the
-carrier of level i is the whole lattice minus the defined sets of all lower
-levels (the zero set included), so undefined points act as don't-cares.
+no strictly larger interval does.  The reduced DNF takes, for each attained
+level gamma, every maximal interval of gamma's carrier that meets the level
+set.  The carrier of gamma is the lattice minus the defined points valued
+below gamma, so undefined points of a partial function act as don't-cares.
 
-The search grows intervals one value at a time: any interval inside the
-carrier extends to a maximal one through single-value factor enlargements,
-so the set of enlargement fixpoints reachable from the singleton seeds is
-exactly the set of maximal intervals.  Work is exponential in the worst
-case; every caller here is desk-scale.
+Point sets are int bitsets over mixed-radix point indices, x1 most
+significant: over m variables the cofactor C_v = C|x1=v is the block
+(C >> v*k**(m-1)) & full.  S x I' lies in C exactly when I' lies in X_S, the
+intersection of C_v over v in S.  Let S(I') = {v : I' in C_v}.  If I' is
+maximal in some X_T with T inside S(I'), it is maximal in the smaller
+X_S(I'), and S(I') x I' is maximal in C: a larger S2 x I2 inside C has I2
+inside X_S(I'), so I2 = I' and S2 lies in S(I').  Conversely a maximal
+S x I' has S = S(I') and I' maximal in X_S.  So the maximal intervals are
+the pairs (S(I'), I') over I' maximal in a distinct nonempty intersection X
+of cofactors (the cofactor-splitting prime generation of Espresso-MV), each
+emitted from the X with {v : X in C_v} = S(I').  Subproblems are memoised
+on (bits, depth) within one call; REDUCE_CAP bounds the call's work.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
+    CapacityError,
     Dnf,
     ElementaryConjunction,
     Interval,
@@ -30,8 +35,11 @@ from .core import (
     ValueSet,
     all_points,
     check_shape,
+    encode_point,
 )
-from .decompose import decompose, max_representation
+
+REDUCE_CAP = 10**6  # work units (see _maximal) per reduce call
+_UNDEFINED = 255  # table entry of an undefined point, above every value
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,12 +49,16 @@ class CarrierSet:
     k: int
     n: int
     points: frozenset[Point]
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_shape(self.k, self.n)
+        marks = bytearray(b"0") * self.k**self.n
         for p in self.points:
-            if len(p) != self.n or any(not 0 <= x < self.k for x in p):
+            if len(p) != self.n:
                 raise ValueError(f"point {p} outside the {self.k}**{self.n} lattice")
+            marks[encode_point(p, self.k)] = ord("1")  # encode_point checks coordinates
+        object.__setattr__(self, "bits", int(marks[::-1], 2))
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,111 +87,121 @@ class ReducedDnf:
         return self.dnf.n
 
 
-def _slab_inside(iv: Interval, j: int, v: int, member) -> bool:
-    # points gained by adding value v to factor j: product with factor j pinned to v
-    axes = [f.values() if i != j else (v,) for i, f in enumerate(iv.factors)]
-    return all(member(p) for p in itertools.product(*axes))
+def _spread(bits: int, mask: int, block: int) -> int:
+    """Prepend an axis: one copy of bits at v*block per value v in mask."""
+    return sum(bits << v * block for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _enlargements(iv: Interval, carrier: CarrierSet):
-    member = carrier.points.__contains__
-    for j, f in enumerate(iv.factors):
-        for v in range(carrier.k):
-            if v in f:
-                continue
-            if _slab_inside(iv, j, v, member):
-                yield iv.with_factor(j, f.with_value(v))
+def _charge(budget: list[int], units: int) -> None:
+    budget[0] -= units
+    if budget[0] < 0:
+        raise CapacityError(f"reduce stage: maximal-interval work passed the cap {REDUCE_CAP}")
+
+
+def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[tuple[int, tuple]]:
+    """Maximal intervals of carrier bits over m variables, as unordered
+    (point bitset, factor masks) pairs."""
+    key = (bits, m)
+    if key in memo:
+        return memo[key]
+    block = k ** (m - 1)
+    # a subproblem, an intersection or a candidate costs one unit plus one
+    # per 1024 points of its bitsets, so the cap bounds memory too
+    unit = 1 + (block * k >> 10)
+    _charge(budget, unit)
+    if m == 1:
+        found = [(bits, (bits,))] if bits else []
+    else:
+        full = (1 << block) - 1
+        cofactors = [bits >> v * block & full for v in range(k)]
+        base = {c for c in cofactors if c}
+        seen, frontier = set(), base
+        while frontier:  # closure of the cofactors under intersection
+            _charge(budget, len(frontier) * len(base) * unit)
+            seen |= frontier
+            frontier = {x & c for x in frontier for c in base} - seen - {0}
+        found = []
+        for x in seen:
+            own = sum(1 << v for v, c in enumerate(cofactors) if x & ~c == 0)
+            others = [c for v, c in enumerate(cofactors) if not own >> v & 1]
+            subs = _maximal(k, x, m - 1, memo, budget)
+            _charge(budget, len(subs) * unit)
+            # an I' that fits a further cofactor is emitted from a smaller X
+            found += [
+                (_spread(sub, own, block), (own,) + masks)
+                for sub, masks in subs
+                if all(sub & ~c for c in others)
+            ]
+    memo[key] = found
+    return found
 
 
 def maximal_intervals(carrier: CarrierSet) -> list[Interval]:
-    """All maximal intervals inside the carrier, canonically ordered.
-
-    Grow-and-canonicalize: seed a singleton interval at every carrier point,
-    apply all single-value factor enlargements that stay inside the carrier,
-    and keep the fixpoints, deduplicated by their factor masks.
-    """
-    if not carrier.points:
-        return []
-    seen: set[tuple[int, ...]] = set()
-    out: dict[tuple[int, ...], Interval] = {}
-    queue: deque[Interval] = deque()
-    for p in sorted(carrier.points):
-        iv = Interval.singleton(carrier.k, p)
-        key = iv.mask_key()
-        if key not in seen:
-            seen.add(key)
-            queue.append(iv)
-    while queue:
-        iv = queue.popleft()
-        grew = False
-        for bigger in _enlargements(iv, carrier):
-            grew = True
-            key = bigger.mask_key()
-            if key not in seen:
-                seen.add(key)
-                queue.append(bigger)
-        if not grew:
-            out[iv.mask_key()] = iv
-    return [out[key] for key in sorted(out)]
+    """All maximal intervals inside the carrier, canonically ordered."""
+    found = _maximal(carrier.k, carrier.bits, carrier.n, {}, [REDUCE_CAP])
+    return [Interval(carrier.k, tuple(map(ValueSet, ms))) for ms in sorted(ms for _, ms in found)]
 
 
 def is_maximal_in(iv: Interval, carrier: CarrierSet) -> bool:
-    """True when no single-value factor enlargement stays inside the carrier.
-
-    Sufficient for true maximality because interval containment is witnessed
-    factor-wise: any strictly larger interval inside the carrier admits a
-    one-value step from iv that also stays inside.
-    """
+    """True when no slab gained by adding one value to one factor of iv lies
+    inside the carrier (slab & ~carrier == 0).  That suffices: any strictly
+    larger interval inside the carrier holds one of those slabs."""
     if iv.k != carrier.k or iv.n != carrier.n:
         raise ValueError("interval and carrier shape mismatch")
-    member = carrier.points.__contains__
-    if not all(member(p) for p in iv.points()):
+    masks = iv.mask_key()
+
+    def inside(factor_masks: tuple[int, ...]) -> bool:
+        bits, block = 1, 1
+        for mask in reversed(factor_masks):
+            bits, block = _spread(bits, mask, block), block * iv.k
+        return bits & ~carrier.bits == 0
+
+    if not inside(masks):
         raise ValueError("interval is not inside the carrier")
-    return next(_enlargements(iv, carrier), None) is None
-
-
-def _level_terms(gamma: int, level_points: frozenset[Point], carrier: CarrierSet) -> LevelTerms:
-    terms = tuple(
-        ElementaryConjunction(iv, gamma)
-        for iv in maximal_intervals(carrier)
-        if any(iv.contains_point(p) for p in level_points)
+    return not any(
+        inside(masks[:j] + (1 << v,) + masks[j + 1 :])
+        for j, mask in enumerate(masks)
+        for v in range(iv.k)
+        if not mask >> v & 1
     )
-    return LevelTerms(gamma, level_points, carrier, terms)
 
 
-def _assemble(k: int, n: int, levels: list[LevelTerms]) -> ReducedDnf:
-    terms = sorted(
-        (t for lt in levels for t in lt.terms), key=ElementaryConjunction.sort_key
-    )
-    return ReducedDnf(Dnf(k, n, tuple(terms)), tuple(levels))
+def _bits_where(table: bytes, values) -> int:
+    """Bitset of the table indices whose entry is one of the values."""
+    return int(table.translate(bytes(b"01"[v in values] for v in range(256)))[::-1], 2)
+
+
+def _points_of(bits: int, points: list[Point]) -> frozenset[Point]:
+    return frozenset(points[i] for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
+
+
+def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
+    """Reduced DNF of a table in point-index order, _UNDEFINED where undefined."""
+    points = list(all_points(k, n))
+    memo, budget, levels = {}, [REDUCE_CAP], []
+    for gamma in sorted(set(table) - {0, _UNDEFINED}):
+        carrier = _bits_where(table, range(gamma, 256))
+        level = _bits_where(table, (gamma,))
+        found = sorted(_maximal(k, carrier, n, memo, budget), key=lambda f: f[1])
+        terms = tuple(
+            ElementaryConjunction(Interval(k, tuple(map(ValueSet, masks))), gamma)
+            for bits, masks in found
+            if bits & level
+        )
+        carrier_set = CarrierSet(k, n, _points_of(carrier, points))
+        levels.append(LevelTerms(gamma, _points_of(level, points), carrier_set, terms))
+    return ReducedDnf(Dnf(k, n, tuple(t for lt in levels for t in lt.terms)), tuple(levels))
 
 
 def reduced_dnf(f: KFunction) -> ReducedDnf:
     """Reduced DNF of a total function; empty for the constant-0 function."""
-    dec = decompose(f)
-    rep = max_representation(dec)
-    levels = [
-        _level_terms(g, dec.level_set(g), CarrierSet(f.k, f.n, carrier_pts))
-        for g, carrier_pts in rep.carriers
-    ]
-    return _assemble(f.k, f.n, levels)
+    return _reduce(f.k, f.n, f.table)
 
 
 def reduced_dnf_partial(func: PartialKFunction) -> ReducedDnf:
-    """Reduced DNF of a partially defined function.
-
-    For the i-th nonzero level the carrier is the lattice minus every
-    lower-valued defined set (the explicit zeros included); terms are the
-    maximal intervals of that carrier meeting the level's defined set.  The
-    result takes each defined nonzero value on its set and 0 on the zero set;
-    undefined points are unconstrained.
-    """
-    k, n = func.k, func.n
-    lattice = frozenset(all_points(k, n))
-    forbidden: frozenset[Point] = func.zero_set()
-    levels: list[LevelTerms] = []
-    for gamma, pts in func.level_sets():
-        carrier = CarrierSet(k, n, lattice - forbidden)
-        levels.append(_level_terms(gamma, pts, carrier))
-        forbidden = forbidden | pts
-    return _assemble(k, n, levels)
+    """Reduced DNF of a partially defined function.  It takes each defined
+    value on its set; undefined points are unconstrained."""
+    table = bytearray([_UNDEFINED]) * func.k**func.n
+    for p, v in func.items():
+        table[encode_point(p, func.k)] = v
+    return _reduce(func.k, func.n, bytes(table))

@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import kdnf.reduce
 from kdnf import (
+    CapacityError,
     CarrierSet,
     Interval,
     KFunction,
@@ -59,12 +61,22 @@ class TestMaximalIntervals:
             assert maximal_intervals(c) == oracle_maximal_intervals(c)
 
     def test_oracle_equivalence_random_k3(self):
-        rng = random.Random(20240901)
-        pts = list(itertools.product(range(3), repeat=2))
-        for _ in range(60):
-            sample = rng.sample(pts, rng.randint(0, len(pts)))
-            c = carrier(3, 2, sample)
-            assert maximal_intervals(c) == oracle_maximal_intervals(c)
+        assert_random_carriers_match_oracle(3, 2, 60, seed=20240901)
+
+    # k=4 and k=5 carriers exercise intersections of three or more cofactors
+    @pytest.mark.parametrize("k, n, count", [(3, 3, 40), (4, 2, 40), (5, 2, 20)])
+    def test_oracle_equivalence_random_dense(self, k, n, count):
+        assert_random_carriers_match_oracle(k, n, count, seed=k * 10 + n, dense=True)
+
+
+def assert_random_carriers_match_oracle(k, n, count, seed, dense=False):
+    """Seeded random carriers; dense ones keep 60-100% of the lattice."""
+    rng = random.Random(seed)
+    pts = list(itertools.product(range(k), repeat=n))
+    low = (len(pts) * 3) // 5 if dense else 0
+    for _ in range(count):
+        c = carrier(k, n, rng.sample(pts, rng.randint(low, len(pts))))
+        assert maximal_intervals(c) == oracle_maximal_intervals(c)
 
 
 class TestIsMaximalIn:
@@ -178,6 +190,24 @@ class TestReducedDnfPartial:
             for p, v in defined.items():
                 assert d.value_at(p) == v
 
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 2), (3, 3), (4, 2)])
+    def test_terms_match_oracle_maximal_intervals(self, k, n):
+        rng = random.Random(k * 100 + n)
+        pts = list(itertools.product(range(k), repeat=n))
+        for _ in range(25):
+            defined = {p: rng.randrange(k) for p in rng.sample(pts, rng.randint(1, len(pts)))}
+            pool = reduced_dnf_partial(PartialKFunction(k, n, defined))
+            for lt in pool.levels:
+                below = {p for p, v in defined.items() if v < lt.gamma}
+                c = carrier(k, n, set(pts) - below)
+                assert lt.carrier == c
+                expected = [
+                    iv for iv in oracle_maximal_intervals(c)
+                    if any(iv.contains_point(p) for p in lt.level_points)
+                ]
+                assert [t.interval for t in lt.terms] == expected
+                assert all(t.gamma == lt.gamma for t in lt.terms)
+
     @given(kfunctions())
     def test_total_consistency(self, f):
         as_partial = PartialKFunction(
@@ -194,3 +224,28 @@ def test_fast_path_matches_oracle_on_function_carriers(f):
     for _, pts in max_representation(decompose(f)).carriers:
         c = CarrierSet(f.k, f.n, pts)
         assert maximal_intervals(c) == oracle_maximal_intervals(c)
+
+
+class TestReduceWorkCap:
+    def test_cap_raises_capacity_error_naming_the_stage(self, monkeypatch):
+        monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", 20)
+        rng = random.Random(7)
+        f = KFunction.from_table(3, 3, [rng.randrange(3) for _ in range(27)])
+        with pytest.raises(CapacityError, match="reduce stage") as info:
+            reduced_dnf(f)
+        # distinct from the minimization node-cap message
+        assert "search exceeded" not in str(info.value)
+
+    def test_cap_applies_to_maximal_intervals(self, monkeypatch):
+        monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", 5)
+        with pytest.raises(CapacityError, match="reduce stage"):
+            maximal_intervals(EXAMPLE_CARRIER)
+
+    def test_cli_reports_the_reduce_cap_as_capacity_exit(self, monkeypatch, tmp_path, capsys):
+        from kdnf.cli import main
+
+        monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", 5)
+        path = tmp_path / "f.kfn"
+        path.write_text("k=3 n=3 mode=total\n0 1 1 -> 1\n1 1 1 -> 2\n1 2 2 -> 1\n")
+        assert main(["reduce", str(path)]) == 3
+        assert "reduce stage" in capsys.readouterr().err
