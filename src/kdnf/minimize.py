@@ -8,14 +8,22 @@ inside the conjunction's own support, see absorbs_zero_free.
 
 Minimization: because a realizing subset of a realizing pool must cover each
 level set with terms of exactly that level, subset search decomposes per
-level into plain set-cover problems.  dead_end_dnfs enumerates every
-irredundant cover exhaustively; minimize_dnf finds the exact optimum by
-branch and bound.  Both refuse with CapacityError instead of approximating.
+level into plain set-cover problems (the covering formulation of Coudert,
+"On solving covering problems", DAC 1996).  Every set in them is a Python
+int bitset: a term's lattice points come from its factor masks, and a
+level's cover sets are bitsets over the indices of the level's points.
+Realization is one comparison per threshold: a DNF is >= gamma exactly on
+the union of its terms of level >= gamma, so it equals f when that union is
+{p : f(p) >= gamma} for every gamma in 1..k-1.  dead_end_dnfs enumerates
+every irredundant cover exhaustively; minimize_dnf finds the exact optimum
+by branch and bound on an explicit stack.  Both refuse with CapacityError
+instead of approximating.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
@@ -28,9 +36,9 @@ from .core import (
     Point,
     ValueSet,
     all_points,
-    functions_equal,
+    decode_point,
 )
-from .reduce import ReducedDnf, reduced_dnf
+from .reduce import ReducedDnf, _bits_where, _interval_bits, reduced_dnf
 
 METRIC_TERMS = "terms"  # fewest conjunctions: the shortest DNF
 METRIC_RANK = "rank"    # least total rank: the minimal DNF
@@ -122,12 +130,18 @@ def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConj
 
 @dataclass(frozen=True, slots=True)
 class LevelCover:
-    """Set-cover view of one level: points to cover and candidate terms."""
+    """Set-cover view of one level: points to cover and candidate terms.
+
+    The universe is the level set of the function in point-index order.
+    covers[i] is an int bitset over universe indices: bit j is set when
+    candidates[i] contains universe[j].  A selection covers the level when
+    the OR of its covers is (1 << len(universe)) - 1.
+    """
 
     gamma: int
     universe: tuple[Point, ...]
     candidates: tuple[ElementaryConjunction, ...]
-    covers: tuple[frozenset[int], ...]  # universe indices covered per candidate
+    covers: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,45 +153,91 @@ class CoverInstance:
     levels: tuple[LevelCover, ...]
 
 
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    text = bin(bits)[:1:-1]
+    out, i = [], text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
 def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
-    """Build the per-level cover problems; error when pool does not realize f."""
+    """Build the per-level cover problems; error when pool does not realize f
+    (checked per threshold, see the module docstring)."""
     if pool.k != f.k or pool.n != f.n:
         raise ValueError("pool and function shape mismatch")
-    if not functions_equal(pool.dnf.as_function(), f):
-        raise ValueError("pool does not realize the function")
+    k, n = f.k, f.n
+    cache: dict[tuple[int, ...], int] = {}
+
+    def term_bits(t: ElementaryConjunction) -> int:
+        masks = t.interval.mask_key()
+        if masks not in cache:
+            cache[masks] = _interval_bits(k, masks)
+        return cache[masks]
+
+    by_level = [0] * k
+    for t in pool.dnf.terms:
+        by_level[t.gamma] |= term_bits(t)
+    reach = 0
+    at_least = [0] * (k + 1)  # at_least[gamma]: bitset of {p : f(p) >= gamma}
+    for gamma in range(k - 1, 0, -1):
+        reach |= by_level[gamma]
+        at_least[gamma] = _bits_where(f.table, range(gamma, k))
+        if reach != at_least[gamma]:
+            raise ValueError("pool does not realize the function")
     levels = []
     for lt in pool.levels:
-        universe = tuple(sorted(lt.level_points))
-        covers = tuple(
-            frozenset(i for i, p in enumerate(universe) if t.interval.contains_point(p))
-            for t in lt.terms
-        )
-        if frozenset().union(*covers, frozenset()) != frozenset(range(len(universe))):
+        level = at_least[lt.gamma] & ~at_least[lt.gamma + 1]
+        where = _set_bits(level)
+        index = {p: j for j, p in enumerate(where)}
+        covers, covered = [], 0
+        for t in lt.terms:
+            c = 0
+            for p in _set_bits(term_bits(t) & level):
+                c |= 1 << index[p]
+            covers.append(c)
+            covered |= c
+        if covered != (1 << len(where)) - 1:
             raise ValueError(f"level {lt.gamma} has uncovered points in the pool")
-        levels.append(LevelCover(lt.gamma, universe, lt.terms, covers))
-    return CoverInstance(f.k, f.n, tuple(levels))
+        universe = tuple(decode_point(p, k, n) for p in where)
+        levels.append(LevelCover(lt.gamma, universe, lt.terms, tuple(covers)))
+    return CoverInstance(k, n, tuple(levels))
+
+
+def _subset_ors(covers: Sequence[int]) -> list[int]:
+    """OR of the covers in every subset, indexed by the subset's bitmask."""
+    table = [0]
+    for c in covers:
+        table += [x | c for x in table]
+    return table
 
 
 def _irredundant_covers(level: LevelCover, budget: list[int]) -> list[tuple[int, ...]]:
-    """All irredundant covering candidate subsets of one level, exhaustively."""
+    """All irredundant covering candidate subsets of one level, exhaustively.
+
+    The union of a subset is looked up in two tables of 2**(m/2) unions, one
+    per half of the candidates, so only covering subsets cost more.
+    """
     m = len(level.candidates)
-    need = frozenset(range(len(level.universe)))
+    need = (1 << len(level.universe)) - 1
     if 1 << m > budget[0]:
         raise CapacityError(f"level {level.gamma}: 2**{m} subsets exceed the enumeration cap")
     budget[0] -= 1 << m
+    half = m // 2
+    low, high = _subset_ors(level.covers[:half]), _subset_ors(level.covers[half:])
     out = []
     for mask in range(1 << m):
-        chosen = [i for i in range(m) if mask >> i & 1]
-        covered = frozenset().union(*(level.covers[i] for i in chosen), frozenset())
-        if covered != need:
+        if low[mask & (1 << half) - 1] | high[mask >> half] != need:
             continue
-        irredundant = all(
-            not need <= frozenset().union(
-                *(level.covers[j] for j in chosen if j != i), frozenset()
-            )
-            for i in chosen
-        )
-        if irredundant:
+        chosen = [i for i in range(m) if mask >> i & 1]
+        twice = once = 0
+        for i in chosen:
+            twice |= once & level.covers[i]
+            once |= level.covers[i]
+        # irredundant: every chosen term covers a point no other one covers
+        if all(level.covers[i] & ~twice for i in chosen):
             out.append(tuple(chosen))
     return out
 
@@ -214,7 +274,6 @@ class MinimizationResult:
     dnf: Dnf
     metric: str
     objective_value: int
-    optimal: bool
 
 
 def term_objectives(terms: Sequence[ElementaryConjunction], metric: str) -> tuple[int, int]:
@@ -236,47 +295,49 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     """Exact minimum-cost cover of one level by branch and bound.
 
     Cost order is lexicographic: primary objective, secondary objective, then
-    the canonical term-key tuple, so the winner is deterministic.
+    the canonical term-key tuple, so the winner is deterministic.  The search
+    runs in pre-order on an explicit stack, one budget unit per node, and
+    branches on the first uncovered point in the order of (number of
+    candidates covering it, index).  Inside the search, bit r of a cover set
+    stands for the r-th point of that order, so the branch point is the
+    lowest bit missing from the covered set.
     """
-    points = range(len(level.universe))
-    need = frozenset(points)
     keys = [t.sort_key() for t in level.candidates]
     costs = [_term_cost(t, metric) for t in level.candidates]
     # candidates covering each point, in index order, and the branch order
-    holders = [[i for i, c in enumerate(level.covers) if u in c] for u in points]
-    branch_key = [(len(h), u) for u, h in enumerate(holders)]
-    best: list[tuple] = [()]
-    found: list[bool] = [False]
-
-    def solution_key(chosen: tuple[int, ...]) -> tuple:
-        p, s = 0, 0
-        for i in chosen:
-            cp, cs = costs[i]
-            p, s = p + cp, s + cs
-        return (p, s, tuple(sorted(keys[i] for i in chosen)))
-
-    def dfs(covered: frozenset[int], chosen: tuple[int, ...], p: int, s: int) -> None:
-        budget[0] -= 1
-        if budget[0] < 0:
+    holders: list[list[int]] = [[] for _ in level.universe]
+    for i, c in enumerate(level.covers):
+        for u in _set_bits(c):
+            holders[u].append(i)
+    order = sorted(range(len(holders)), key=lambda u: (len(holders[u]), u))
+    position = {u: r for r, u in enumerate(order)}
+    covers = [sum(1 << position[u] for u in _set_bits(c)) for c in level.covers]
+    # per branch point, its children in reverse, so the stack pops them in order
+    branch = [[(i, covers[i], *costs[i]) for i in reversed(holders[u])] for u in order]
+    need = (1 << len(order)) - 1
+    best = (math.inf, math.inf, ())  # objectives and sorted term keys of the best cover
+    bp, bs = best[:2]
+    left = budget[0]
+    stack = [(0, (), 0, 0)]  # covered, chosen, primary, secondary
+    while stack:
+        covered, chosen, p, s = stack.pop()
+        left -= 1
+        if left < 0:
+            budget[0] = left
             raise CapacityError("minimization search exceeded the node cap")
-        if found[0]:
-            bp, bs = best[0][0], best[0][1]
-            if p > bp or (p == bp and s > bs):
-                return
+        if p > bp or (p == bp and s > bs):
+            continue
         if covered == need:
-            key = solution_key(chosen)
-            if not found[0] or key < best[0]:
-                best[0], found[0] = key, True
-            return
-        # branch on the uncovered point with the fewest covering candidates
-        target = min(need - covered, key=branch_key.__getitem__)
-        for i in holders[target]:
-            cp, cs = costs[i]
-            dfs(covered | level.covers[i], chosen + (i,), p + cp, s + cs)
-
-    dfs(frozenset(), (), 0, 0)
-    chosen_keys = best[0][2]
-    return tuple(i for i in range(len(level.candidates)) if keys[i] in set(chosen_keys))
+            key = (p, s, tuple(sorted(keys[i] for i in chosen)))
+            if key < best:
+                best, bp, bs = key, p, s
+            continue
+        free = need ^ covered
+        for i, c, cp, cs in branch[(free & -free).bit_length() - 1]:
+            stack.append((covered | c, chosen + (i,), p + cp, s + cs))
+    budget[0] = left
+    chosen_keys = set(best[2])
+    return tuple(i for i in range(len(level.candidates)) if keys[i] in chosen_keys)
 
 
 def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult:
@@ -297,7 +358,7 @@ def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult
     terms.sort(key=ElementaryConjunction.sort_key)
     dnf = Dnf(f.k, f.n, tuple(terms))
     primary, _ = term_objectives(terms, metric)
-    return MinimizationResult(dnf, metric, primary, True)
+    return MinimizationResult(dnf, metric, primary)
 
 
 @dataclass(frozen=True, slots=True)

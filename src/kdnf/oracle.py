@@ -98,7 +98,7 @@ def oracle_minimize(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationRes
     chosen_terms.sort(key=ElementaryConjunction.sort_key)
     dnf = Dnf(f.k, f.n, tuple(chosen_terms))
     objective = len(dnf.terms) if metric == METRIC_TERMS else dnf.total_rank()
-    return MinimizationResult(dnf, metric, objective, True)
+    return MinimizationResult(dnf, metric, objective)
 
 
 def oracle_is_monotone(f: KFunction, order) -> bool:

@@ -92,6 +92,14 @@ def _spread(bits: int, mask: int, block: int) -> int:
     return sum(bits << v * block for v in range(mask.bit_length()) if mask >> v & 1)
 
 
+def _interval_bits(k: int, masks: tuple[int, ...]) -> int:
+    """Point bitset of the interval with these factor masks."""
+    bits, block = 1, 1
+    for mask in reversed(masks):
+        bits, block = _spread(bits, mask, block), block * k
+    return bits
+
+
 def _charge(budget: list[int], units: int) -> None:
     budget[0] -= units
     if budget[0] < 0:
@@ -151,10 +159,7 @@ def is_maximal_in(iv: Interval, carrier: CarrierSet) -> bool:
     masks = iv.mask_key()
 
     def inside(factor_masks: tuple[int, ...]) -> bool:
-        bits, block = 1, 1
-        for mask in reversed(factor_masks):
-            bits, block = _spread(bits, mask, block), block * iv.k
-        return bits & ~carrier.bits == 0
+        return _interval_bits(iv.k, factor_masks) & ~carrier.bits == 0
 
     if not inside(masks):
         raise ValueError("interval is not inside the carrier")
@@ -168,7 +173,10 @@ def is_maximal_in(iv: Interval, carrier: CarrierSet) -> bool:
 
 def _bits_where(table: bytes, values) -> int:
     """Bitset of the table indices whose entry is one of the values."""
-    return int(table.translate(bytes(b"01"[v in values] for v in range(256)))[::-1], 2)
+    marks = bytearray(b"0") * 256
+    for v in values:
+        marks[v] = ord("1")
+    return int(table.translate(marks)[::-1], 2)
 
 
 def _points_of(bits: int, points: list[Point]) -> frozenset[Point]:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from kdnf import (
     Dnf,
     ElementaryConjunction,
     KFunction,
+    ReducedDnf,
     absorbs,
     absorbs_zero_free,
     absorption_witness,
@@ -176,6 +179,29 @@ class TestDeadEnds:
                     )
                     assert smaller.value_at(witness) < f.value(witness)
 
+    def test_matches_definition_over_all_pool_subsets(self):
+        # every subset of the pool that realizes f and stops realizing it
+        # when any one term is dropped, straight from the definition
+        rng = random.Random(515)
+        seen = 0
+        while seen < 12:
+            k, n = rng.choice([(2, 4), (3, 2)])
+            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            pool = reduced_dnf(f)
+            terms = pool.dnf.terms
+            if not 6 <= len(terms) <= 10:
+                continue
+            seen += 1
+            expected = []
+            for mask in range(1 << len(terms)):
+                d = Dnf(k, n, tuple(t for i, t in enumerate(terms) if mask >> i & 1))
+                if functions_equal(d.as_function(), f) and not any(
+                    functions_equal(d.without(i).as_function(), f) for i in range(len(d.terms))
+                ):
+                    expected.append(d)
+            expected.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
+            assert dead_end_dnfs(f, pool) == expected
+
     def test_pool_must_realize(self, star_example):
         other = KFunction.constant(3, 3)
         with pytest.raises(ValueError):
@@ -189,7 +215,7 @@ class TestDeadEnds:
 class TestMinimize:
     def test_constant_zero(self):
         res = minimize_dnf(KFunction.constant(2, 2))
-        assert res.dnf.terms == () and res.objective_value == 0 and res.optimal
+        assert res.dnf.terms == () and res.objective_value == 0
 
     def test_star_example_two_terms(self, star_example, handwritten_pair):
         res = minimize_dnf(star_example, METRIC_TERMS)
@@ -239,6 +265,13 @@ class TestMinimize:
             for d in dead_end_dnfs(f, pool):
                 assert best <= len(d.terms) <= len(pool.dnf.terms)
 
+    def test_parity_k2_n11_matches_closed_form(self):
+        # 2**10 minterms of rank 11 each; every term is essential, so the
+        # search is one path 1024 nodes deep
+        f = KFunction.from_callable(2, 11, lambda p: sum(p) % 2)
+        assert minimize_dnf(f, METRIC_TERMS).objective_value == 1024
+        assert minimize_dnf(f, METRIC_RANK).objective_value == 11264
+
     def test_unknown_metric(self, star_example):
         with pytest.raises(ValueError):
             minimize_dnf(star_example, "letters")
@@ -287,8 +320,52 @@ class TestCoverInstance:
         inst = cover_instance(star_example, reduced_dnf(star_example))
         assert [lvl.gamma for lvl in inst.levels] == [1]
         level = inst.levels[0]
-        assert frozenset().union(*level.covers) == frozenset(range(len(level.universe)))
+        assert functools.reduce(operator.or_, level.covers) == (1 << len(level.universe)) - 1
 
     def test_rejects_non_realizing_pool(self, star_example):
         with pytest.raises(ValueError):
             cover_instance(KFunction.constant(3, 3, 2), reduced_dnf(star_example))
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 3), (4, 2)])
+    def test_covers_match_pointwise_reference(self, k, n):
+        rng = random.Random(9000 + 10 * k + n)
+        for _ in range(20):
+            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            inst = cover_instance(f, reduced_dnf(f))
+            for level in inst.levels:
+                assert level.universe == tuple(p for p in f.points() if f.value(p) == level.gamma)
+                for t, c in zip(level.candidates, level.covers, strict=True):
+                    reference = sum(
+                        1 << j for j, p in enumerate(level.universe) if t.interval.contains_point(p)
+                    )
+                    assert c == reference
+
+    def test_raises_exactly_when_the_pool_does_not_realize(self):
+        def perturbed(f, d):
+            """(function, DNF) pairs one change away from (f, d)."""
+            for i in range(len(d.terms)):
+                yield f, d.without(i)
+            for i, t in enumerate(d.terms):
+                for gamma in (t.gamma - 1, t.gamma + 1):
+                    if 1 <= gamma < f.k:
+                        moved = ElementaryConjunction(t.interval, gamma)
+                        yield f, Dnf(f.k, f.n, d.terms[:i] + (moved,) + d.terms[i + 1 :])
+            for j, v in enumerate(f.table):
+                table = bytearray(f.table)
+                table[j] = (v + 1) % f.k
+                yield KFunction(f.k, f.n, bytes(table)), d
+
+        rng = random.Random(4242)
+        outcomes = set()
+        for k, n in [(2, 3), (3, 2), (3, 3), (4, 2)] * 5:
+            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            pool = reduced_dnf(f)
+            for g, d in perturbed(f, pool.dnf):
+                realizes = functions_equal(d.as_function(), g)
+                outcomes.add(realizes)
+                if realizes:
+                    cover_instance(g, ReducedDnf(d, pool.levels))
+                else:
+                    with pytest.raises(ValueError, match="does not realize"):
+                        cover_instance(g, ReducedDnf(d, pool.levels))
+        assert outcomes == {True, False}
