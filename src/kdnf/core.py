@@ -38,7 +38,7 @@ def check_shape(k: int, n: int) -> None:
     check_alphabet(k)
     if n < 1:
         raise ValueError(f"dimension n={n} must be >= 1")
-    if k**n > MAX_TABLE:
+    if n >= MAX_TABLE.bit_length() or k**n > MAX_TABLE:  # 2**n alone passes the cap there
         raise CapacityError(f"k**n = {k}**{n} exceeds the dense-table cap {MAX_TABLE}")
 
 
@@ -107,14 +107,6 @@ class ValueSet:
 
     def disjoint_from(self, other: "ValueSet") -> bool:
         return self.mask & other.mask == 0
-
-
-def j_value(members: ValueSet, x: int, k: int) -> int:
-    """Characteristic elementary formula: k-1 when x is a member, else 0."""
-    check_alphabet(k)
-    if not 0 <= x < k:
-        raise ValueError(f"argument {x} outside the alphabet [0, {k - 1}]")
-    return k - 1 if x in members else 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,10 +305,6 @@ class KFunction:
         """Points where the function is nonzero."""
         return frozenset(p for p in self.points() if self.value(p) != 0)
 
-    def attained_levels(self) -> tuple[int, ...]:
-        """Nonzero values the function attains, ascending."""
-        return tuple(sorted(set(self.table) - {0}))
-
 
 def functions_equal(f: KFunction, g: KFunction) -> bool:
     """Pointwise table equality; mismatched shapes are an error, not False."""
@@ -373,29 +361,9 @@ class PartialKFunction:
     def __repr__(self) -> str:
         return f"PartialKFunction(k={self.k}, n={self.n}, defined={len(self._items)})"
 
-    def defined_points(self) -> tuple[Point, ...]:
-        return tuple(p for p, _ in self._items)
-
     def value(self, p: Point) -> int | None:
         """Defined value at p, or None when p is undefined."""
         return self._map.get(tuple(p))
 
     def items(self) -> tuple[tuple[Point, int], ...]:
         return self._items
-
-    def level_sets(self) -> tuple[tuple[int, frozenset[Point]], ...]:
-        """Nonzero defined sets as (value, points), ascending by value."""
-        by_value: dict[int, set[Point]] = {}
-        for p, v in self._items:
-            if v != 0:
-                by_value.setdefault(v, set()).add(p)
-        return tuple((v, frozenset(by_value[v])) for v in sorted(by_value))
-
-    def is_total(self) -> bool:
-        return len(self._items) == self.k**self.n
-
-    def to_total(self) -> KFunction:
-        """Conversion when every point is defined; error otherwise."""
-        if not self.is_total():
-            raise ValueError("function is not defined on the whole lattice")
-        return KFunction.from_map(self.k, self.n, self._map)

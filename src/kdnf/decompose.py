@@ -70,12 +70,3 @@ def max_representation(d: LevelDecomposition) -> MaxRepresentation:
         carriers.append((g, acc))
     carriers.reverse()
     return MaxRepresentation(d.k, d.n, tuple(carriers))
-
-
-def recompose(d: LevelDecomposition) -> KFunction:
-    """Pointwise max of the slices; inverse of decompose."""
-    values: dict[Point, int] = {}
-    for g, pts in d.levels:
-        for p in pts:
-            values[p] = max(values.get(p, 0), g)
-    return KFunction.from_map(d.k, d.n, values)

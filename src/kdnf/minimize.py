@@ -24,21 +24,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import (
     CapacityError,
     Dnf,
     ElementaryConjunction,
-    Interval,
     KFunction,
     Point,
-    ValueSet,
     all_points,
     decode_point,
 )
-from .reduce import ReducedDnf, _bits_where, _interval_bits, reduced_dnf
+from .reduce import ReducedDnf, _bits_where, _interval_bits, _set_bits, reduced_dnf
 
 METRIC_TERMS = "terms"  # fewest conjunctions: the shortest DNF
 METRIC_RANK = "rank"    # least total rank: the minimal DNF
@@ -63,30 +61,6 @@ def absorption_witness(d: Dnf, ec: ElementaryConjunction) -> Point | None:
 
 def _is_zero_free(ec: ElementaryConjunction) -> bool:
     return all(0 not in f for f in ec.interval.factors if not f.is_full(ec.k))
-
-
-def widen_nonzero(ec: ElementaryConjunction) -> ElementaryConjunction:
-    """Replace every non-full factor by the whole nonzero range {1..k-1}.
-
-    Only defined for conjunctions whose non-full factors avoid 0; the result
-    contains the input interval and has the same level.
-    """
-    if not _is_zero_free(ec):
-        raise ValueError("a non-full factor contains 0; conjunction is not zero-free shaped")
-    nonzero = ValueSet.from_iterable(range(1, ec.k))
-    factors = tuple(f if f.is_full(ec.k) else nonzero for f in ec.interval.factors)
-    return ElementaryConjunction(Interval(ec.k, factors), ec.gamma)
-
-
-def points_nonzero_at(k: int, n: int, positions: Sequence[int]) -> Iterator[Point]:
-    """Lattice points whose coordinates at the given positions are nonzero.
-
-    With positions = range(t) this is the nonzero-prefix set used by the
-    coverage form of the absorption criterion.
-    """
-    pos = frozenset(positions)
-    axes = [range(1, k) if j in pos else range(k) for j in range(n)]
-    return itertools.product(*axes)
 
 
 def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConjunction) -> bool:
@@ -151,16 +125,6 @@ class CoverInstance:
     k: int
     n: int
     levels: tuple[LevelCover, ...]
-
-
-def _set_bits(bits: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    text = bin(bits)[:1:-1]
-    out, i = [], text.find("1")
-    while i >= 0:
-        out.append(i)
-        i = text.find("1", i + 1)
-    return out
 
 
 def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
@@ -359,24 +323,3 @@ def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult
     dnf = Dnf(f.k, f.n, tuple(terms))
     primary, _ = term_objectives(terms, metric)
     return MinimizationResult(dnf, metric, primary)
-
-
-@dataclass(frozen=True, slots=True)
-class RemoveStep:
-    """Outcome of one removal step on the way to a dead-end DNF."""
-
-    accepted: bool
-    dnf: Dnf | None
-    witness: Point | None
-
-
-def remove_step(d: Dnf, index: int) -> RemoveStep:
-    """Drop one term when the remaining ones absorb it; otherwise report a
-    point where coverage would break."""
-    if not 0 <= index < len(d.terms):
-        raise ValueError(f"term index {index} out of range")
-    rest = d.without(index)
-    witness = absorption_witness(rest, d.terms[index])
-    if witness is None:
-        return RemoveStep(True, rest, None)
-    return RemoveStep(False, None, witness)

@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .core import CapacityError, KFunction, Point, check_alphabet, decode_point
+from .core import CapacityError, KFunction, Point, check_alphabet, check_shape, decode_point
 from .minimize import dead_end_dnfs
 from .reduce import ReducedDnf, reduced_dnf
 
@@ -153,6 +153,7 @@ def iter_monotone_functions(n: int, k: int, order: ValueOrder) -> Iterator[KFunc
     each new point only needs checking against its already-assigned covering
     predecessors.  Subject to the same cap as count_monotone_exact.
     """
+    check_shape(k, n)
     if (k**n) * math.log2(k) > math.log2(COUNT_CAP):
         raise CapacityError(f"k**(k**n) exceeds the counting cap {COUNT_CAP}")
     ext = _linear_extension(k, n, order)
@@ -208,6 +209,8 @@ def psi_estimate(n: int, k: int) -> PsiEstimate:
     check_alphabet(k)
     if n < 1:
         raise ValueError(f"dimension n={n} must be >= 1")
+    if (n + 1) * math.log2(k) >= 1024:  # k**(n+1) would not convert to a float
+        raise CapacityError(f"log2(psi) for k={k}, n={n} passes the float range")
     log2_psi = k ** (n + 1) / (math.sqrt(2 * math.pi * (k - 1)) * math.sqrt(n))
     return PsiEstimate(n, k, log2_psi, 2, (k - 1) / k**2)
 
@@ -232,11 +235,6 @@ class ChainShapeReport:
 def _is_upper_interval(mask: int, k: int) -> bool:
     values = [v for v in range(k) if mask >> v & 1]
     return values == list(range(values[0], k))
-
-
-def _is_contiguous(mask: int, k: int) -> bool:
-    values = [v for v in range(k) if mask >> v & 1]
-    return values == list(range(values[0], values[-1] + 1))
 
 
 def chain_shape_report(f: KFunction) -> ChainShapeReport:
@@ -268,25 +266,3 @@ def chain_shape_report(f: KFunction) -> ChainShapeReport:
         core_points=cores,
         cores_exclusive=exclusive,
     )
-
-
-@dataclass(frozen=True, slots=True)
-class ContiguousShapeReport:
-    """Whether every reduced-DNF factor is a gap-free run of values."""
-
-    reduced: ReducedDnf
-    factors_contiguous: bool
-    violations: tuple[tuple[int, int], ...]  # (term index, factor index)
-
-
-def contiguous_shape_report(f: KFunction) -> ContiguousShapeReport:
-    if not is_monotone(f, total_order(f.k)):
-        raise ValueError("function is not monotone under the chain order")
-    pool = reduced_dnf(f)
-    violations = tuple(
-        (ti, fi)
-        for ti, t in enumerate(pool.dnf.terms)
-        for fi, fac in enumerate(t.interval.factors)
-        if not _is_contiguous(fac.mask, f.k)
-    )
-    return ContiguousShapeReport(pool, not violations, violations)

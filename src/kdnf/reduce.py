@@ -33,8 +33,8 @@ from .core import (
     PartialKFunction,
     Point,
     ValueSet,
-    all_points,
     check_shape,
+    decode_point,
     encode_point,
 )
 
@@ -63,12 +63,27 @@ class CarrierSet:
 
 @dataclass(frozen=True, slots=True)
 class LevelTerms:
-    """Terms of one output level with the carrier they are maximal in."""
+    """Terms of one output level with the carrier they are maximal in.
 
+    The level set and the carrier are kept as the int bitsets over point
+    indices that the reduce stage computed; level_points and carrier decode
+    them into points only when they are read.
+    """
+
+    k: int
+    n: int
     gamma: int
-    level_points: frozenset[Point]
-    carrier: CarrierSet
+    level_bits: int = field(repr=False)
+    carrier_bits: int = field(repr=False)
     terms: tuple[ElementaryConjunction, ...]
+
+    @property
+    def level_points(self) -> frozenset[Point]:
+        return _points_of(self.level_bits, self.k, self.n)
+
+    @property
+    def carrier(self) -> CarrierSet:
+        return CarrierSet(self.k, self.n, _points_of(self.carrier_bits, self.k, self.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,27 +165,6 @@ def maximal_intervals(carrier: CarrierSet) -> list[Interval]:
     return [Interval(carrier.k, tuple(map(ValueSet, ms))) for ms in sorted(ms for _, ms in found)]
 
 
-def is_maximal_in(iv: Interval, carrier: CarrierSet) -> bool:
-    """True when no slab gained by adding one value to one factor of iv lies
-    inside the carrier (slab & ~carrier == 0).  That suffices: any strictly
-    larger interval inside the carrier holds one of those slabs."""
-    if iv.k != carrier.k or iv.n != carrier.n:
-        raise ValueError("interval and carrier shape mismatch")
-    masks = iv.mask_key()
-
-    def inside(factor_masks: tuple[int, ...]) -> bool:
-        return _interval_bits(iv.k, factor_masks) & ~carrier.bits == 0
-
-    if not inside(masks):
-        raise ValueError("interval is not inside the carrier")
-    return not any(
-        inside(masks[:j] + (1 << v,) + masks[j + 1 :])
-        for j, mask in enumerate(masks)
-        for v in range(iv.k)
-        if not mask >> v & 1
-    )
-
-
 def _bits_where(table: bytes, values) -> int:
     """Bitset of the table indices whose entry is one of the values."""
     marks = bytearray(b"0") * 256
@@ -179,13 +173,22 @@ def _bits_where(table: bytes, values) -> int:
     return int(table.translate(marks)[::-1], 2)
 
 
-def _points_of(bits: int, points: list[Point]) -> frozenset[Point]:
-    return frozenset(points[i] for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
+def _set_bits(bits: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    text = bin(bits)[:1:-1]
+    out, i = [], text.find("1")
+    while i >= 0:
+        out.append(i)
+        i = text.find("1", i + 1)
+    return out
+
+
+def _points_of(bits: int, k: int, n: int) -> frozenset[Point]:
+    return frozenset(decode_point(i, k, n) for i in _set_bits(bits))
 
 
 def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
     """Reduced DNF of a table in point-index order, _UNDEFINED where undefined."""
-    points = list(all_points(k, n))
     memo, budget, levels = {}, [REDUCE_CAP], []
     for gamma in sorted(set(table) - {0, _UNDEFINED}):
         carrier = _bits_where(table, range(gamma, 256))
@@ -196,8 +199,7 @@ def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
             for bits, masks in found
             if bits & level
         )
-        carrier_set = CarrierSet(k, n, _points_of(carrier, points))
-        levels.append(LevelTerms(gamma, _points_of(level, points), carrier_set, terms))
+        levels.append(LevelTerms(k, n, gamma, level, carrier, terms))
     return ReducedDnf(Dnf(k, n, tuple(t for lt in levels for t in lt.terms)), tuple(levels))
 
 

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,15 @@ class TestReduce:
         first = run(capsys, "reduce", EXAMPLE)
         second = run(capsys, "reduce", EXAMPLE)
         assert first == second
+
+    def test_constant_one_on_the_largest_lattice(self, capsys, tmp_path):
+        # a one-term answer on 2**20 points; no per-point set may be built
+        path = tmp_path / "one.kfn"
+        path.write_text("k=2 n=20 mode=total default=1\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "reduce", str(path))
+        assert code == 0 and out == "TRUE->1\n"
+        assert time.perf_counter() - start < 2.0
 
 
 class TestMinimize:
@@ -124,6 +134,21 @@ class TestCountEstimate:
         assert code == 0
         assert out.splitlines()[0] == "log2(psi) ≈ 2.53885 (d=2, D=0.222222)"
 
+    def test_count_past_the_table_cap(self, capsys):
+        code, out, err = run(capsys, "count", "-k", "2", "-n", "2000")
+        assert code == 3 and out == ""
+        assert err.startswith("kdnf: capacity error: ")
+
+    def test_count_negative_dimension_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "count", "-k", "3", "-n", "-1")
+        assert code == 1 and out == ""
+        assert err == "kdnf: error: dimension n=-1 must be >= 1\n"
+
+    def test_estimate_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "estimate", "-k", "3", "-n", "1000")
+        assert code == 3 and out == ""
+        assert err.startswith("kdnf: capacity error: ")
+
 
 class TestExitCodes:
     def test_usage_unknown_command(self, capsys):
@@ -145,6 +170,14 @@ class TestExitCodes:
         path.write_text("k=3 n=2 mode=total\n9 9 -> 1\n")
         code, _, err = run(capsys, "reduce", str(path))
         assert code == 2 and "parse error" in err
+
+    def test_huge_dimension_refused_before_any_table(self, capsys, tmp_path):
+        path = tmp_path / "huge.kfn"
+        path.write_text("k=3 n=10000000 mode=total\n")
+        start = time.perf_counter()
+        code, _, err = run(capsys, "reduce", str(path))
+        assert code == 3 and "dense-table cap" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_success_code(self, capsys):
         code, _, _ = run(capsys, "estimate", "-k", "2", "-n", "1")

@@ -11,7 +11,6 @@ from kdnf import (
     KFunction,
     ValueSet,
     functions_equal,
-    j_value,
 )
 from kdnf.core import decode_point, encode_point
 
@@ -19,20 +18,16 @@ from .conftest import STAR_EXAMPLE_POINTS, conjunction_and_point, dnf_and_point,
 
 
 class TestJValue:
+    # the characteristic formula J_S(x), k-1 when x is in S and 0 otherwise,
+    # is the one-factor conjunction of level k-1
     def test_membership_fires(self):
-        assert j_value(ValueSet.of(1, 2), 2, 3) == 2
+        assert ec(3, 2, [1, 2]).value_at((2,)) == 2
 
     def test_non_membership(self):
-        assert j_value(ValueSet.of(1, 2), 0, 3) == 0
+        assert ec(3, 2, [1, 2]).value_at((0,)) == 0
 
     def test_full_set_always_fires(self):
-        assert j_value(ValueSet.full(5), 3, 5) == 4
-
-    def test_argument_out_of_range(self):
-        with pytest.raises(ValueError):
-            j_value(ValueSet.of(1), 3, 3)
-        with pytest.raises(ValueError):
-            j_value(ValueSet.of(1), -1, 3)
+        assert ec(5, 4, None).value_at((3,)) == 4
 
 
 class TestConjunctionEval:
@@ -57,7 +52,7 @@ class TestConjunctionEval:
         # definition as a literal min over the elementary formulas and gamma
         term, p = arg
         expected = min(
-            min(j_value(f, x, term.k) for f, x in zip(term.interval.factors, p)),
+            min(term.k - 1 if x in f else 0 for f, x in zip(term.interval.factors, p)),
             term.gamma,
         )
         assert term.value_at(p) == expected

@@ -11,8 +11,10 @@ from kdnf import (
     CapacityError,
     Dnf,
     ElementaryConjunction,
+    Interval,
     KFunction,
     ReducedDnf,
+    ValueSet,
     absorbs,
     absorbs_zero_free,
     absorption_witness,
@@ -20,11 +22,8 @@ from kdnf import (
     dead_end_dnfs,
     functions_equal,
     minimize_dnf,
-    points_nonzero_at,
     reduced_dnf,
-    remove_step,
     total_order,
-    widen_nonzero,
 )
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
@@ -53,28 +52,17 @@ class TestAbsorbs:
             absorbs(Dnf(3, 2), ec(3, 1, [1]))
 
 
-class TestWidenNonzero:
-    def test_widens_proper_factors(self):
-        got = widen_nonzero(ec(3, 2, [1], [2]))
-        assert got == ec(3, 2, [1, 2], [1, 2])
+def widen_nonzero(t: ElementaryConjunction) -> ElementaryConjunction:
+    """Every non-full factor of a zero-free term widened to {1..k-1}."""
+    nonzero = ValueSet.from_iterable(range(1, t.k))
+    factors = tuple(f if f.is_full(t.k) else nonzero for f in t.interval.factors)
+    return ElementaryConjunction(Interval(t.k, factors), t.gamma)
 
-    def test_full_factors_unchanged(self):
-        term = ec(3, 1, None, None)
-        assert widen_nonzero(term) == term
 
-    def test_idempotent_on_nonzero_range(self):
-        term = ec(3, 2, [1, 2])
-        assert widen_nonzero(term) == term
-
-    def test_rejects_zero_in_proper_factor(self):
-        with pytest.raises(ValueError):
-            widen_nonzero(ec(3, 1, [0, 1]))
-
-    def test_result_contains_input(self):
-        term = ec(4, 1, [2], [1, 3], None)
-        wide = widen_nonzero(term)
-        assert wide.interval.contains(term.interval)
-        assert wide.gamma == term.gamma
+def points_nonzero_at(k: int, n: int, positions):
+    """Lattice points whose coordinates at the given positions are nonzero."""
+    axes = [range(1, k) if j in positions else range(k) for j in range(n)]
+    return itertools.product(*axes)
 
 
 class TestAbsorbsZeroFree:
@@ -278,17 +266,17 @@ class TestMinimize:
 
 
 class TestRemoveStep:
+    # one step towards a dead-end DNF drops a term that the rest absorb
     def test_duplicate_term_removal_accepted(self):
         term = ec(3, 1, [1], [2])
         d = Dnf(3, 2, (term, term))
-        step = remove_step(d, 0)
-        assert step.accepted and step.dnf == Dnf(3, 2, (term,))
+        assert absorbs(d.without(0), term)
+        assert d.without(0) == Dnf(3, 2, (term,))
 
     def test_needed_term_rejected_with_witness(self, handwritten_pair):
-        step = remove_step(handwritten_pair, 1)
-        assert not step.accepted
-        assert step.witness in {(1, 2, 1), (1, 2, 2)}
-        assert handwritten_pair.terms[1].value_at(step.witness) == 1
+        witness = absorption_witness(handwritten_pair.without(1), handwritten_pair.terms[1])
+        assert witness in {(1, 2, 1), (1, 2, 2)}
+        assert handwritten_pair.terms[1].value_at(witness) == 1
 
     def test_redundant_maximal_term_removal(self, star_example):
         pool = reduced_dnf(star_example).dnf
@@ -297,22 +285,22 @@ class TestRemoveStep:
             i for i, t in enumerate(pool.terms)
             if t.interval.mask_key() == (0b010, 0b110, 0b010)
         )
-        step = remove_step(pool, index)
-        assert step.accepted
-        assert functions_equal(step.dnf.as_function(), star_example)
+        assert absorbs(pool.without(index), pool.terms[index])
+        assert functions_equal(pool.without(index).as_function(), star_example)
 
     def test_acceptance_iff_absorption(self):
+        # dropping a term keeps the function exactly when the rest absorb it
         rng = random.Random(37)
         for _ in range(30):
             f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
             pool = reduced_dnf(f).dnf
             for i in range(len(pool.terms)):
-                step = remove_step(pool, i)
-                assert step.accepted == absorbs(pool.without(i), pool.terms[i])
+                kept = functions_equal(pool.without(i).as_function(), f)
+                assert kept == absorbs(pool.without(i), pool.terms[i])
 
     def test_invalid_index(self, handwritten_pair):
         with pytest.raises(ValueError):
-            remove_step(handwritten_pair, 2)
+            handwritten_pair.without(2)
 
 
 class TestCoverInstance:

@@ -10,7 +10,6 @@ from kdnf import (
     KFunction,
     ValueOrder,
     chain_shape_report,
-    contiguous_shape_report,
     count_monotone_exact,
     is_monotone,
     iter_monotone_functions,
@@ -121,23 +120,6 @@ class TestChainShapeReport:
         f = KFunction.from_map(3, 1, {(0,): 1, (2,): 1})
         with pytest.raises(ValueError):
             chain_shape_report(f)
-
-
-class TestContiguousShapeReport:
-    def test_all_chain_monotone_k3_n2_are_contiguous(self):
-        for f in iter_monotone_functions(2, 3, total_order(3)):
-            report = contiguous_shape_report(f)
-            assert report.factors_contiguous, report.violations
-
-    def test_upper_intervals_are_contiguous(self):
-        f = KFunction.from_table(4, 1, range(4))
-        report = contiguous_shape_report(f)
-        assert report.factors_contiguous
-
-    def test_refuses_non_monotone(self):
-        f = KFunction.from_map(3, 1, {(0,): 1, (2,): 1})
-        with pytest.raises(ValueError):
-            contiguous_shape_report(f)
 
 
 class TestPsiEstimate:

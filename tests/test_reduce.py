@@ -12,7 +12,6 @@ from kdnf import (
     KFunction,
     PartialKFunction,
     functions_equal,
-    is_maximal_in,
     maximal_intervals,
     reduced_dnf,
     reduced_dnf_partial,
@@ -82,17 +81,16 @@ def assert_random_carriers_match_oracle(k, n, count, seed, dense=False):
 class TestIsMaximalIn:
     def test_full_in_full(self):
         full = carrier(3, 2, itertools.product(range(3), repeat=2))
-        assert is_maximal_in(Interval.full(3, 2), full)
+        assert maximal_intervals(full) == [Interval.full(3, 2)]
 
     def test_extendable_singleton(self):
-        assert not is_maximal_in(iv(3, [1], [1], [1]), EXAMPLE_CARRIER)
+        single = iv(3, [1], [1], [1])
+        found = maximal_intervals(EXAMPLE_CARRIER)
+        assert single not in found
+        assert any(m.contains(single) for m in found)
 
     def test_handwritten_term_is_maximal(self):
-        assert is_maximal_in(iv(3, [1], [2], [1, 2]), EXAMPLE_CARRIER)
-
-    def test_outside_carrier_is_an_error(self):
-        with pytest.raises(ValueError):
-            is_maximal_in(iv(3, [0], [0], [0]), EXAMPLE_CARRIER)
+        assert iv(3, [1], [2], [1, 2]) in maximal_intervals(EXAMPLE_CARRIER)
 
 
 class TestReducedDnf:
@@ -134,8 +132,9 @@ class TestReducedDnf:
     def test_terms_are_maximal_and_unnested(self, f):
         pool = reduced_dnf(f)
         for lt in pool.levels:
+            maximal = oracle_maximal_intervals(lt.carrier)
             for t in lt.terms:
-                assert is_maximal_in(t.interval, lt.carrier)
+                assert t.interval in maximal
             for a in lt.terms:
                 for b in lt.terms:
                     if a is not b:
@@ -152,8 +151,9 @@ class TestReducedDnf:
     def test_terms_stay_inside_their_carrier(self, f):
         pool = reduced_dnf(f)
         for lt in pool.levels:
+            inside = lt.carrier.points
             for t in lt.terms:
-                assert set(t.interval.points()) <= lt.carrier.points
+                assert set(t.interval.points()) <= inside
 
 
 class TestReducedDnfPartial:
@@ -201,9 +201,10 @@ class TestReducedDnfPartial:
                 below = {p for p, v in defined.items() if v < lt.gamma}
                 c = carrier(k, n, set(pts) - below)
                 assert lt.carrier == c
+                level = lt.level_points
                 expected = [
                     iv for iv in oracle_maximal_intervals(c)
-                    if any(iv.contains_point(p) for p in lt.level_points)
+                    if any(iv.contains_point(p) for p in level)
                 ]
                 assert [t.interval for t in lt.terms] == expected
                 assert all(t.gamma == lt.gamma for t in lt.terms)
