@@ -5,8 +5,13 @@ An interval is a Cartesian product of nonempty value sets, one per variable;
 its point set is a sublattice of the full lattice.  An elementary conjunction
 pairs an interval with an output level gamma >= 1 and evaluates to gamma
 exactly on the interval, 0 elsewhere.  A DNF is a list of conjunctions
-evaluated pointwise by max.  Total functions are dense tables indexed by a
-mixed-radix point encoding with x1 most significant.
+evaluated pointwise by max.
+
+Functions, total and partial alike, are dense tables of k**n bytes indexed
+by a mixed-radix point encoding with x1 most significant, under the cap
+MAX_TABLE.  A total function holds a value below k at every index; a
+partial one holds UNDEFINED (255, above every value) at its undefined
+points, so a total function is a partial one with every point defined.
 
 Everything in this module is immutable after construction and safe for
 concurrent reads.
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 MIN_K = 2
 MAX_K = 16          # desk-scale cap on the alphabet
 MAX_TABLE = 1 << 20  # dense-table cap: k**n must not exceed this
+UNDEFINED = 255     # table entry of an undefined point of a partial function
 
 Point = tuple[int, ...]
 
@@ -50,6 +56,24 @@ def encode_point(p: Point, k: int) -> int:
             raise ValueError(f"coordinate {x} outside [0, {k - 1}]")
         idx = idx * k + x
     return idx
+
+
+def _index(p: Point, k: int, n: int) -> int:
+    """Table index of a point, checked against the dimension and alphabet."""
+    if len(p) != n:
+        raise ValueError(f"point {p} has dimension {len(p)}, expected {n}")
+    return encode_point(p, k)
+
+
+def _table_from_map(k: int, n: int, assignments: Mapping[Point, int], fill: int) -> bytes:
+    """Dense table holding fill at every point the assignments leave out."""
+    check_shape(k, n)
+    table = bytearray([fill]) * k**n
+    for p, v in assignments.items():
+        if not 0 <= v < k:
+            raise ValueError(f"value {v} outside the alphabet")
+        table[_index(p, k, n)] = v
+    return bytes(table)
 
 
 def decode_point(idx: int, k: int, n: int) -> Point:
@@ -262,7 +286,7 @@ class KFunction:
         check_shape(self.k, self.n)
         if len(self.table) != self.k**self.n:
             raise ValueError(f"table length {len(self.table)} != k**n = {self.k ** self.n}")
-        if any(v >= self.k for v in self.table):
+        if max(self.table) >= self.k:
             raise ValueError("table entry outside the alphabet")
 
     @classmethod
@@ -274,14 +298,7 @@ class KFunction:
         check_shape(k, n)
         if not 0 <= default < k:
             raise ValueError(f"default value {default} outside the alphabet")
-        table = bytearray([default]) * k**n
-        for p, v in assignments.items():
-            if len(p) != n:
-                raise ValueError(f"point {p} has dimension {len(p)}, expected {n}")
-            if not 0 <= v < k:
-                raise ValueError(f"value {v} outside the alphabet")
-            table[encode_point(p, k)] = v
-        return cls(k, n, bytes(table))
+        return cls(k, n, _table_from_map(k, n, assignments, default))
 
     @classmethod
     def from_callable(cls, k: int, n: int, fn: Callable[[Point], int]) -> "KFunction":
@@ -296,7 +313,7 @@ class KFunction:
         return cls(k, n, bytes([value]) * k**n)
 
     def value(self, p: Point) -> int:
-        return self.table[encode_point(p, self.k)]
+        return self.table[_index(p, self.k, self.n)]
 
     def points(self) -> Iterator[Point]:
         return all_points(self.k, self.n)
@@ -316,27 +333,17 @@ def functions_equal(f: KFunction, g: KFunction) -> bool:
 class PartialKFunction:
     """Partially defined function: disjoint defined sets per value, rest undefined.
 
-    Stored as a point -> value mapping over the defined points.  The zero
-    level is a real defined set (a point mapped to 0 is "known zero"), unlike
-    a point that is simply absent.
+    Stored as a dense table like KFunction's, with UNDEFINED at the undefined
+    points.  The zero level is a real defined set (a point mapped to 0 is
+    "known zero"), unlike a point that is simply absent.
     """
 
-    __slots__ = ("k", "n", "_items", "_map")
+    __slots__ = ("k", "n", "table")
 
     def __init__(self, k: int, n: int, assignments: Mapping[Point, int]):
-        check_shape(k, n)
-        items = []
-        for p, v in assignments.items():
-            if len(p) != n:
-                raise ValueError(f"point {p} has dimension {len(p)}, expected {n}")
-            encode_point(p, k)  # validates coordinates
-            if not 0 <= v < k:
-                raise ValueError(f"value {v} outside the alphabet")
-            items.append((tuple(p), v))
+        self.table = _table_from_map(k, n, assignments, UNDEFINED)
         self.k = k
         self.n = n
-        self._items = tuple(sorted(items))
-        self._map = dict(self._items)
 
     @classmethod
     def from_level_sets(cls, k: int, n: int, levels: Mapping[int, Iterable[Point]]) -> "PartialKFunction":
@@ -353,17 +360,20 @@ class PartialKFunction:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialKFunction):
             return NotImplemented
-        return (self.k, self.n, self._items) == (other.k, other.n, other._items)
+        return (self.k, self.n, self.table) == (other.k, other.n, other.table)
 
     def __hash__(self) -> int:
-        return hash((self.k, self.n, self._items))
+        return hash((self.k, self.n, self.table))
 
     def __repr__(self) -> str:
-        return f"PartialKFunction(k={self.k}, n={self.n}, defined={len(self._items)})"
+        defined = len(self.table) - self.table.count(UNDEFINED)
+        return f"PartialKFunction(k={self.k}, n={self.n}, defined={defined})"
 
     def value(self, p: Point) -> int | None:
         """Defined value at p, or None when p is undefined."""
-        return self._map.get(tuple(p))
+        v = self.table[_index(p, self.k, self.n)]
+        return None if v == UNDEFINED else v
 
     def items(self) -> tuple[tuple[Point, int], ...]:
-        return self._items
+        """(point, value) over the defined points, in point-index order."""
+        return tuple((p, v) for p, v in zip(all_points(self.k, self.n), self.table) if v != UNDEFINED)

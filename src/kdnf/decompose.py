@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import KFunction, Point
+from .reduce import _bits_where, _points_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,12 +53,9 @@ class MaxRepresentation:
 
 def decompose(f: KFunction) -> LevelDecomposition:
     """Split f into its quasi-Boolean level sets; unattained levels are omitted."""
-    by_value: dict[int, set[Point]] = {}
-    for p in f.points():
-        v = f.value(p)
-        if v != 0:
-            by_value.setdefault(v, set()).add(p)
-    levels = tuple((g, frozenset(by_value[g])) for g in sorted(by_value))
+    levels = tuple(
+        (g, _points_of(_bits_where(f.table, (g,)), f.k, f.n)) for g in sorted(set(f.table) - {0})
+    )
     return LevelDecomposition(f.k, f.n, levels)
 
 

@@ -1,10 +1,11 @@
 """Absorption tests, dead-end DNF extraction, and exact DNF minimization.
 
 Absorption: a DNF absorbs a conjunction when the conjunction never exceeds
-the DNF, pointwise.  The brute-force test enumerates the whole lattice.  For
+the DNF, pointwise, that is when the terms of level >= gamma cover the
+conjunction's interval; the general test compares the point bitsets.  For
 conjunctions whose non-full factors avoid 0 (the shape produced by
-star-monotone functions) there is a fast equivalent test done entirely
-inside the conjunction's own support, see absorbs_zero_free.
+star-monotone functions) there is an equivalent test done entirely inside
+the conjunction's own support, see absorbs_zero_free.
 
 Minimization: because a realizing subset of a realizing pool must cover each
 level set with terms of exactly that level, subset search decomposes per
@@ -33,7 +34,6 @@ from .core import (
     ElementaryConjunction,
     KFunction,
     Point,
-    all_points,
     decode_point,
 )
 from .reduce import ReducedDnf, _bits_where, _interval_bits, _set_bits, reduced_dnf
@@ -45,18 +45,24 @@ SUBSET_CAP = 10**6  # visited subsets / search nodes before giving up
 
 
 def absorbs(d: Dnf, ec: ElementaryConjunction) -> bool:
-    """Pointwise test over the whole lattice: ec never exceeds d."""
+    """True when ec never exceeds d, pointwise."""
     return absorption_witness(d, ec) is None
 
 
 def absorption_witness(d: Dnf, ec: ElementaryConjunction) -> Point | None:
-    """First point (in index order) where ec exceeds d, or None."""
+    """First point (in index order) where ec exceeds d, or None.
+
+    ec exceeds d exactly at the points of its interval that no term of level
+    >= ec.gamma covers.
+    """
     if ec.k != d.k or ec.n != d.n:
         raise ValueError("conjunction and DNF shape mismatch")
-    for p in all_points(d.k, d.n):
-        if ec.value_at(p) > d.value_at(p):
-            return p
-    return None
+    reach = 0
+    for t in d.terms:
+        if t.gamma >= ec.gamma:
+            reach |= _interval_bits(d.k, t.interval.mask_key())
+    missing = _interval_bits(d.k, ec.interval.mask_key()) & ~reach
+    return decode_point((missing & -missing).bit_length() - 1, d.k, d.n) if missing else None
 
 
 def _is_zero_free(ec: ElementaryConjunction) -> bool:
@@ -240,17 +246,6 @@ class MinimizationResult:
     objective_value: int
 
 
-def term_objectives(terms: Sequence[ElementaryConjunction], metric: str) -> tuple[int, int]:
-    """(primary, secondary) objective pair for a term selection."""
-    count = len(terms)
-    rank = sum(t.rank for t in terms)
-    if metric == METRIC_TERMS:
-        return count, rank
-    if metric == METRIC_RANK:
-        return rank, count
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def _term_cost(t: ElementaryConjunction, metric: str) -> tuple[int, int]:
     return (1, t.rank) if metric == METRIC_TERMS else (t.rank, 1)
 
@@ -321,5 +316,5 @@ def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult
         terms.extend(level.candidates[i] for i in chosen)
     terms.sort(key=ElementaryConjunction.sort_key)
     dnf = Dnf(f.k, f.n, tuple(terms))
-    primary, _ = term_objectives(terms, metric)
-    return MinimizationResult(dnf, metric, primary)
+    objective = len(dnf.terms) if metric == METRIC_TERMS else dnf.total_rank()
+    return MinimizationResult(dnf, metric, objective)

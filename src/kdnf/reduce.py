@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (
+    UNDEFINED,
     CapacityError,
     Dnf,
     ElementaryConjunction,
@@ -39,7 +40,6 @@ from .core import (
 )
 
 REDUCE_CAP = 10**6  # work units (see _maximal) per reduce call
-_UNDEFINED = 255  # table entry of an undefined point, above every value
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,9 +188,9 @@ def _points_of(bits: int, k: int, n: int) -> frozenset[Point]:
 
 
 def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
-    """Reduced DNF of a table in point-index order, _UNDEFINED where undefined."""
+    """Reduced DNF of a table in point-index order, UNDEFINED where undefined."""
     memo, budget, levels = {}, [REDUCE_CAP], []
-    for gamma in sorted(set(table) - {0, _UNDEFINED}):
+    for gamma in sorted(set(table) - {0, UNDEFINED}):
         carrier = _bits_where(table, range(gamma, 256))
         level = _bits_where(table, (gamma,))
         found = sorted(_maximal(k, carrier, n, memo, budget), key=lambda f: f[1])
@@ -211,7 +211,4 @@ def reduced_dnf(f: KFunction) -> ReducedDnf:
 def reduced_dnf_partial(func: PartialKFunction) -> ReducedDnf:
     """Reduced DNF of a partially defined function.  It takes each defined
     value on its set; undefined points are unconstrained."""
-    table = bytearray([_UNDEFINED]) * func.k**func.n
-    for p, v in func.items():
-        table[encode_point(p, func.k)] = v
-    return _reduce(func.k, func.n, bytes(table))
+    return _reduce(func.k, func.n, func.table)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 
 from .core import (
+    UNDEFINED,
     Dnf,
     ElementaryConjunction,
     Interval,
@@ -29,6 +30,7 @@ from .core import (
     PartialKFunction,
     Point,
     ValueSet,
+    all_points,
 )
 
 _HEADER_RE = re.compile(
@@ -104,18 +106,14 @@ def parse_function(text: str) -> KFunction | PartialKFunction:
 
 
 def print_function(func: KFunction | PartialKFunction) -> str:
-    """Canonical text: header plus sorted body lines, one per listed point."""
-    if isinstance(func, KFunction):
-        header = f"k={func.k} n={func.n} mode=total"
-        body = [
-            (p, func.value(p)) for p in func.points() if func.value(p) != 0
-        ]
-    else:
-        header = f"k={func.k} n={func.n} mode=partial"
-        body = list(func.items())
-    lines = [header]
-    for p, v in sorted(body):
-        lines.append(f"{' '.join(map(str, p))} -> {v}")
+    """Canonical text: header plus one body line per listed point, in point
+    order.  A total function lists its nonzero points, a partial one its
+    defined points."""
+    mode, skip = ("total", 0) if isinstance(func, KFunction) else ("partial", UNDEFINED)
+    lines = [f"k={func.k} n={func.n} mode={mode}"]
+    for p, v in zip(all_points(func.k, func.n), func.table):
+        if v != skip:
+            lines.append(f"{' '.join(map(str, p))} -> {v}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,6 +9,7 @@ from kdnf import (
     ElementaryConjunction,
     Interval,
     KFunction,
+    PartialKFunction,
     ValueSet,
     functions_equal,
 )
@@ -213,6 +214,48 @@ class TestValidation:
     def test_term_shape_must_match_dnf(self):
         with pytest.raises(ValueError):
             Dnf(3, 2, (ec(3, 1, [1]),))
+
+
+class TestPointLookup:
+    @pytest.mark.parametrize("p", [(1,), (0, 0, 1), (0, 1, 0, 0), (0, 3), (-1, 1)])
+    def test_total_lookup_rejects_points_off_the_lattice(self, p):
+        f = KFunction.from_map(3, 2, {(0, 1): 2})
+        with pytest.raises(ValueError):
+            f.value(p)
+
+    @pytest.mark.parametrize("p", [(7,), (-1,), (), (0, 0)])
+    def test_partial_lookup_rejects_points_off_the_lattice(self, p):
+        func = PartialKFunction(3, 1, {(0,): 0})
+        with pytest.raises(ValueError):
+            func.value(p)
+
+    def test_lookups_on_the_lattice(self):
+        assert KFunction.from_map(3, 2, {(0, 1): 2}).value((0, 1)) == 2
+        assert PartialKFunction(3, 2, {(2, 1): 1}).value([2, 1]) == 1
+
+
+class TestPartialKFunction:
+    ASSIGNED = {(2, 0): 1, (0, 2): 0, (1, 1): 2, (0, 0): 2}
+
+    def test_equality_and_hash_ignore_assignment_order(self):
+        forward = PartialKFunction(3, 2, self.ASSIGNED)
+        backward = PartialKFunction(3, 2, dict(reversed(self.ASSIGNED.items())))
+        assert forward == backward and hash(forward) == hash(backward)
+        assert forward != PartialKFunction(3, 2, {**self.ASSIGNED, (2, 2): 0})
+
+    def test_items_in_point_index_order(self):
+        items = PartialKFunction(3, 2, self.ASSIGNED).items()
+        assert items == (((0, 0), 2), ((0, 2), 0), ((1, 1), 2), ((2, 0), 1))
+
+    def test_repr_shows_the_defined_count(self):
+        assert repr(PartialKFunction(3, 2, self.ASSIGNED)) == "PartialKFunction(k=3, n=2, defined=4)"
+        assert repr(PartialKFunction(2, 3, {})) == "PartialKFunction(k=2, n=3, defined=0)"
+
+    def test_undefined_is_none_and_known_zero_is_zero(self):
+        func = PartialKFunction(3, 2, self.ASSIGNED)
+        assert func.value((0, 1)) is None
+        assert func.value((0, 2)) == 0
+        assert [func.value(p) for p in itertools.product(range(3), repeat=2)].count(None) == 5
 
 
 class TestEncoding:

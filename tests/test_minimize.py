@@ -51,6 +51,25 @@ class TestAbsorbs:
         with pytest.raises(ValueError):
             absorbs(Dnf(3, 2), ec(3, 1, [1]))
 
+    @pytest.mark.parametrize("k, n", [(2, 5), (3, 3), (4, 2)])
+    def test_witness_is_the_first_exceeding_point(self, k, n):
+        rng = random.Random(31 * k + n)
+
+        def term(gamma):
+            factors = [ValueSet(rng.randrange(1, 1 << k)) for _ in range(n)]
+            return ElementaryConjunction(Interval(k, tuple(factors)), gamma)
+
+        for trial in range(120):
+            query = term(rng.randint(1, k - 1))
+            # levels above, at and below the query's; the empty DNF included
+            d = Dnf(k, n, tuple(term(rng.randint(1, k - 1)) for _ in range(trial % 7)))
+            expected = next(
+                (p for p in itertools.product(range(k), repeat=n) if query.value_at(p) > d.value_at(p)),
+                None,
+            )
+            assert absorption_witness(d, query) == expected
+            assert absorbs(d, query) == oracle_absorbs(d, query)
+
 
 def widen_nonzero(t: ElementaryConjunction) -> ElementaryConjunction:
     """Every non-full factor of a zero-free term widened to {1..k-1}."""
