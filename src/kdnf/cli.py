@@ -8,6 +8,7 @@ Output is deterministic: identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -123,6 +124,7 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: it costs more than a small command's own work
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="kdnf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

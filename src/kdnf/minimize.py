@@ -10,23 +10,26 @@ the conjunction's own support, see absorbs_zero_free.
 Minimization: because a realizing subset of a realizing pool must cover each
 level set with terms of exactly that level, subset search decomposes per
 level into plain set-cover problems (the covering formulation of Coudert,
-"On solving covering problems", DAC 1996).  Every set in them is a Python
-int bitset: a term's lattice points come from its factor masks, and a
-level's cover sets are bitsets over the indices of the level's points.
-Realization is one comparison per threshold: a DNF is >= gamma exactly on
-the union of its terms of level >= gamma, so it equals f when that union is
-{p : f(p) >= gamma} for every gamma in 1..k-1.  dead_end_dnfs enumerates
-every irredundant cover exhaustively; minimize_dnf finds the exact optimum
-by branch and bound on an explicit stack.  Both refuse with CapacityError
-instead of approximating.
+"On solving covering problems", DAC 1996).  Every set in them is a Python int
+bitset over the lattice's point indices, the reduce stage's format: a term's
+points come from its factor masks, and its cover set is that bitset ANDed
+with the level set's.  Realization is one comparison per threshold: a DNF is
+>= gamma exactly on the union of its terms of level >= gamma, so it equals f
+when that union is {p : f(p) >= gamma} for every gamma in 1..k-1.
+dead_end_dnfs enumerates every irredundant cover exhaustively; minimize_dnf
+finds the exact optimum by branch and bound on an explicit stack.  Both
+refuse with CapacityError instead of approximating.  The search lays the
+cover sets out by holder count so that its branch point is a lowest set bit;
+see _best_cover.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (
     CapacityError,
@@ -110,18 +113,22 @@ def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConj
 
 @dataclass(frozen=True, slots=True)
 class LevelCover:
-    """Set-cover view of one level: points to cover and candidate terms.
+    """Set-cover view of one level, every set an int bitset over the
+    lattice's point indices: level_bits is the level set, covers[i] the part
+    of it inside candidates[i], and a selection covers the level when the OR
+    of its covers is level_bits.  universe decodes the level set only when
+    it is read."""
 
-    The universe is the level set of the function in point-index order.
-    covers[i] is an int bitset over universe indices: bit j is set when
-    candidates[i] contains universe[j].  A selection covers the level when
-    the OR of its covers is (1 << len(universe)) - 1.
-    """
-
+    k: int
+    n: int
     gamma: int
-    universe: tuple[Point, ...]
+    level_bits: int = field(repr=False)
     candidates: tuple[ElementaryConjunction, ...]
-    covers: tuple[int, ...]
+    covers: tuple[int, ...] = field(repr=False)
+
+    @property
+    def universe(self) -> tuple[Point, ...]:
+        return tuple(decode_point(p, self.k, self.n) for p in _set_bits(self.level_bits))
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,45 +141,33 @@ class CoverInstance:
 
 
 def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
-    """Build the per-level cover problems; error when pool does not realize f
-    (checked per threshold, see the module docstring)."""
+    """Per-level cover problems over the terms of pool.dnf; error when they
+    do not realize f (checked per threshold, see the module docstring).
+
+    Once every threshold checks, the terms of level >= gamma cover the level
+    set of gamma and those of level > gamma stay off it, so terms of exactly
+    level gamma cover it: every cover problem is solvable.
+    """
     if pool.k != f.k or pool.n != f.n:
         raise ValueError("pool and function shape mismatch")
     k, n = f.k, f.n
-    cache: dict[tuple[int, ...], int] = {}
-
-    def term_bits(t: ElementaryConjunction) -> int:
-        masks = t.interval.mask_key()
-        if masks not in cache:
-            cache[masks] = _interval_bits(k, masks)
-        return cache[masks]
-
-    by_level = [0] * k
+    by_level: list[list[tuple[ElementaryConjunction, int]]] = [[] for _ in range(k)]
     for t in pool.dnf.terms:
-        by_level[t.gamma] |= term_bits(t)
+        by_level[t.gamma].append((t, _interval_bits(k, t.interval.mask_key())))
     reach = 0
     at_least = [0] * (k + 1)  # at_least[gamma]: bitset of {p : f(p) >= gamma}
     for gamma in range(k - 1, 0, -1):
-        reach |= by_level[gamma]
+        for _, bits in by_level[gamma]:
+            reach |= bits
         at_least[gamma] = _bits_where(f.table, range(gamma, k))
         if reach != at_least[gamma]:
             raise ValueError("pool does not realize the function")
     levels = []
-    for lt in pool.levels:
-        level = at_least[lt.gamma] & ~at_least[lt.gamma + 1]
-        where = _set_bits(level)
-        index = {p: j for j, p in enumerate(where)}
-        covers, covered = [], 0
-        for t in lt.terms:
-            c = 0
-            for p in _set_bits(term_bits(t) & level):
-                c |= 1 << index[p]
-            covers.append(c)
-            covered |= c
-        if covered != (1 << len(where)) - 1:
-            raise ValueError(f"level {lt.gamma} has uncovered points in the pool")
-        universe = tuple(decode_point(p, k, n) for p in where)
-        levels.append(LevelCover(lt.gamma, universe, lt.terms, tuple(covers)))
+    for gamma in range(1, k):
+        level = at_least[gamma] & ~at_least[gamma + 1]
+        if level:
+            terms, bits = zip(*by_level[gamma])
+            levels.append(LevelCover(k, n, gamma, level, terms, tuple(b & level for b in bits)))
     return CoverInstance(k, n, tuple(levels))
 
 
@@ -191,7 +186,7 @@ def _irredundant_covers(level: LevelCover, budget: list[int]) -> list[tuple[int,
     per half of the candidates, so only covering subsets cost more.
     """
     m = len(level.candidates)
-    need = (1 << len(level.universe)) - 1
+    need = level.level_bits
     if 1 << m > budget[0]:
         raise CapacityError(f"level {level.gamma}: 2**{m} subsets exceed the enumeration cap")
     budget[0] -= 1 << m
@@ -221,20 +216,13 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf, cap: int = SUBSET_CAP) -> list
     inst = cover_instance(f, pool)
     budget = [cap]
     per_level = [_irredundant_covers(level, budget) for level in inst.levels]
-    combos = 1
-    for options in per_level:
-        combos *= len(options)
+    combos = math.prod(len(options) for options in per_level)
     if combos > cap:
         raise CapacityError(f"{combos} dead-end combinations exceed the cap {cap}")
     results = []
     for choice in itertools.product(*per_level):
-        terms = [
-            level.candidates[i]
-            for level, chosen in zip(inst.levels, choice)
-            for i in chosen
-        ]
-        terms.sort(key=ElementaryConjunction.sort_key)
-        results.append(Dnf(f.k, f.n, tuple(terms)))
+        terms = [level.candidates[i] for level, chosen in zip(inst.levels, choice) for i in chosen]
+        results.append(Dnf(f.k, f.n, tuple(sorted(terms, key=ElementaryConjunction.sort_key))))
     results.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
     return results
 
@@ -257,43 +245,65 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     the canonical term-key tuple, so the winner is deterministic.  The search
     runs in pre-order on an explicit stack, one budget unit per node, and
     branches on the first uncovered point in the order of (number of
-    candidates covering it, index).  Inside the search, bit r of a cover set
-    stands for the r-th point of that order, so the branch point is the
-    lowest bit missing from the covered set.
+    candidates covering it, index).  Holder counts are added bit-sliced into
+    binary planes, which split the level into one mask per count; with the
+    r-th smallest count's mask shifted r level widths up, the branch point is
+    the lowest bit of the uncovered set.  Its holders are the AND over
+    variables j of the masks of candidates whose factor j holds x_j.
     """
     keys = [t.sort_key() for t in level.candidates]
     costs = [_term_cost(t, metric) for t in level.candidates]
-    # candidates covering each point, in index order, and the branch order
-    holders: list[list[int]] = [[] for _ in level.universe]
-    for i, c in enumerate(level.covers):
-        for u in _set_bits(c):
-            holders[u].append(i)
-    order = sorted(range(len(holders)), key=lambda u: (len(holders[u]), u))
-    position = {u: r for r, u in enumerate(order)}
-    covers = [sum(1 << position[u] for u in _set_bits(c)) for c in level.covers]
-    # per branch point, its children in reverse, so the stack pops them in order
-    branch = [[(i, covers[i], *costs[i]) for i in reversed(holders[u])] for u in order]
-    need = (1 << len(order)) - 1
+    planes: list[int] = []  # planes[j]: points whose holder count has bit j set
+    for c in level.covers:
+        for j, plane in enumerate(planes):
+            if not c:
+                break
+            planes[j], c = plane ^ c, plane & c
+        if c:
+            planes.append(c)
+    groups = [level.level_bits]  # split by count bits, high to low, so ascending
+    for plane in reversed(planes):
+        groups = [g for x in groups for g in (x & ~plane, x & plane) if g]
+    width = level.level_bits.bit_length()
+    *covers, need = (
+        sum((c & g) << r * width for r, g in enumerate(groups))
+        for c in (*level.covers, level.level_bits)
+    )
+    k, n = level.k, level.n
+    masks = [t.interval.mask_key() for t in reversed(level.candidates)]
+    # holds[j][x]: the candidates whose factor j holds x, highest first as a binary numeral
+    holds = [[int("".join("01"[m[j] >> x & 1] for m in masks), 2) for x in range(k)] for j in range(n)]
+
+    @functools.cache  # children of a branch bit, in reverse so the stack pops them in order
+    def children(b: int) -> list:
+        held, kids = -1, []
+        for j, x in enumerate(decode_point(b % width, k, n)):
+            held &= holds[j][x]
+        while held:
+            i = held.bit_length() - 1
+            kids.append((i, need ^ covers[i], *costs[i]))  # need ^ cover: the points it misses
+            held ^= 1 << i
+        return kids
+
     best = (math.inf, math.inf, ())  # objectives and sorted term keys of the best cover
     bp, bs = best[:2]
     left = budget[0]
-    stack = [(0, (), 0, 0)]  # covered, chosen, primary, secondary
+    stack = [(need, (), 0, 0)]  # uncovered, chosen, primary, secondary
     while stack:
-        covered, chosen, p, s = stack.pop()
+        free, chosen, p, s = stack.pop()
         left -= 1
         if left < 0:
             budget[0] = left
             raise CapacityError("minimization search exceeded the node cap")
         if p > bp or (p == bp and s > bs):
             continue
-        if covered == need:
+        if not free:
             key = (p, s, tuple(sorted(keys[i] for i in chosen)))
             if key < best:
                 best, bp, bs = key, p, s
             continue
-        free = need ^ covered
-        for i, c, cp, cs in branch[(free & -free).bit_length() - 1]:
-            stack.append((covered | c, chosen + (i,), p + cp, s + cs))
+        for i, rest, cp, cs in children((free & -free).bit_length() - 1):
+            stack.append((free & rest, chosen + (i,), p + cp, s + cs))
     budget[0] = left
     chosen_keys = set(best[2])
     return tuple(i for i in range(len(level.candidates)) if keys[i] in chosen_keys)
@@ -310,10 +320,7 @@ def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult
     pool = reduced_dnf(f)
     inst = cover_instance(f, pool)
     budget = [SUBSET_CAP]
-    terms: list[ElementaryConjunction] = []
-    for level in inst.levels:
-        chosen = _best_cover(level, metric, budget)
-        terms.extend(level.candidates[i] for i in chosen)
+    terms = [level.candidates[i] for level in inst.levels for i in _best_cover(level, metric, budget)]
     terms.sort(key=ElementaryConjunction.sort_key)
     dnf = Dnf(f.k, f.n, tuple(terms))
     objective = len(dnf.terms) if metric == METRIC_TERMS else dnf.total_rank()

@@ -17,6 +17,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_on_constant_one(capsys, tmp_path, command):
+    """Stdout and seconds of a command on constant 1 over 2**20 points: a
+    one-term answer, so no stage may build a per-point set."""
+    path = tmp_path / "one.kfn"
+    path.write_text("k=2 n=20 mode=total default=1\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    return out, time.perf_counter() - start
+
+
 class TestReduce:
     def test_star_example(self, capsys):
         code, out, _ = run(capsys, "reduce", EXAMPLE)
@@ -37,13 +48,9 @@ class TestReduce:
         assert first == second
 
     def test_constant_one_on_the_largest_lattice(self, capsys, tmp_path):
-        # a one-term answer on 2**20 points; no per-point set may be built
-        path = tmp_path / "one.kfn"
-        path.write_text("k=2 n=20 mode=total default=1\n")
-        start = time.perf_counter()
-        code, out, _ = run(capsys, "reduce", str(path))
-        assert code == 0 and out == "TRUE->1\n"
-        assert time.perf_counter() - start < 2.0
+        out, seconds = run_on_constant_one(capsys, tmp_path, "reduce")
+        assert out == "TRUE->1\n"
+        assert seconds < 2.0
 
 
 class TestMinimize:
@@ -64,6 +71,11 @@ class TestMinimize:
         code, _, err = run(capsys, "minimize", str(path))
         assert code == 1 and "total" in err
 
+    def test_constant_one_on_the_largest_lattice(self, capsys, tmp_path):
+        out, seconds = run_on_constant_one(capsys, tmp_path, "minimize")
+        assert out == "TRUE->1\nobjective: 1\n"
+        assert seconds < 2.0
+
 
 class TestDeadend:
     def test_star_example(self, capsys):
@@ -80,6 +92,11 @@ class TestDeadend:
     def test_negative_limit_is_usage_error(self, capsys):
         code, _, err = run(capsys, "deadend", EXAMPLE, "--limit", "-3")
         assert code == 1 and "--limit" in err
+
+    def test_constant_one_on_the_largest_lattice(self, capsys, tmp_path):
+        out, seconds = run_on_constant_one(capsys, tmp_path, "deadend")
+        assert out == "# dead-end dnfs: 1\n# 1\nTRUE->1\n"
+        assert seconds < 2.0
 
 
 class TestAbsorb:

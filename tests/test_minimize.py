@@ -25,6 +25,8 @@ from kdnf import (
     reduced_dnf,
     total_order,
 )
+from kdnf.core import encode_point
+from kdnf.minimize import SUBSET_CAP, _best_cover
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
 
@@ -209,6 +211,22 @@ class TestDeadEnds:
             expected.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
             assert dead_end_dnfs(f, pool) == expected
 
+    def test_ends_stay_inside_a_pool_that_drops_a_term(self):
+        # the candidates are the terms of pool.dnf, not of pool.levels, so a
+        # term dropped from the DNF is in no dead end
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(20):
+            f = KFunction.from_table(2, 3, [rng.randrange(2) for _ in range(8)])
+            pool = reduced_dnf(f)
+            for i in range(len(pool.dnf.terms)):
+                d = pool.dnf.without(i)
+                if functions_equal(d.as_function(), f):
+                    checked += 1
+                    for end in dead_end_dnfs(f, ReducedDnf(d, pool.levels)):
+                        assert set(end.terms) <= set(d.terms)
+        assert checked
+
     def test_pool_must_realize(self, star_example):
         other = KFunction.constant(3, 3)
         with pytest.raises(ValueError):
@@ -284,6 +302,67 @@ class TestMinimize:
             minimize_dnf(star_example, "letters")
 
 
+
+# _best_cover's node use and chosen candidates per level, (k, n, seed, metric)
+# -> ((nodes, chosen), ...), one budget shared by the levels as in
+# minimize_dnf.  A change of representation must keep the node order; a change
+# of algorithm re-records these on purpose.
+SEARCH_PIN = {
+    (2, 5, 0, "rank"): ((16, (1, 3, 5, 6, 7)),),
+    (2, 5, 0, "terms"): ((16, (1, 3, 5, 6, 7)),),
+    (2, 5, 1, "rank"): ((8, (0, 1, 2, 3, 4, 5)),),
+    (2, 5, 1, "terms"): ((8, (0, 1, 2, 3, 4, 5)),),
+    (2, 5, 2, "rank"): ((119, (0, 1, 2, 3, 4, 8, 10, 15, 16)),),
+    (2, 5, 2, "terms"): ((119, (0, 1, 2, 3, 4, 8, 10, 15, 16)),),
+    (2, 5, 3, "rank"): ((264, (1, 5, 7, 10, 11, 13, 14, 15)),),
+    (2, 5, 3, "terms"): ((264, (1, 5, 7, 10, 11, 13, 14, 15)),),
+    (2, 5, 4, "rank"): ((7, (0, 1, 2, 4, 5, 7)),),
+    (2, 5, 4, "terms"): ((7, (0, 1, 2, 4, 5, 7)),),
+    (2, 6, 0, "rank"): ((795, (0, 1, 3, 7, 9, 13, 16, 18, 19, 20, 21, 22, 24)),),
+    (2, 6, 0, "terms"): ((795, (0, 1, 3, 7, 9, 13, 16, 18, 19, 20, 21, 22, 24)),),
+    (2, 6, 1, "rank"): ((10366, (0, 1, 4, 6, 9, 10, 12, 13, 15, 17, 21, 23, 24, 26, 27, 29)),),
+    (2, 6, 1, "terms"): ((10366, (0, 1, 4, 6, 9, 10, 12, 13, 15, 17, 21, 23, 24, 26, 27, 29)),),
+    (2, 6, 2, "rank"): ((183, (0, 4, 6, 7, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21)),),
+    (2, 6, 2, "terms"): ((183, (0, 4, 6, 7, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21)),),
+    (2, 6, 3, "rank"): ((1269, (0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 20, 21, 23)),),
+    (2, 6, 3, "terms"): ((1269, (0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 20, 21, 23)),),
+    (2, 6, 7, "rank"): ((2858, (0, 1, 4, 7, 8, 13, 16, 17, 18, 20, 21, 24, 25, 29, 30)),),
+    (2, 6, 7, "terms"): ((2868, (0, 1, 4, 7, 8, 13, 16, 17, 18, 20, 21, 24, 25, 29, 30)),),
+    (3, 3, 0, "rank"): ((24, (0, 3, 6, 9)), (15, (1, 2, 3, 4, 6, 7))),
+    (3, 3, 0, "terms"): ((24, (0, 3, 6, 9)), (15, (1, 2, 3, 4, 6, 7))),
+    (3, 3, 1, "rank"): ((35, (0, 3, 4, 7, 9)), (5, (0, 1, 2, 3))),
+    (3, 3, 1, "terms"): ((35, (0, 3, 4, 7, 9)), (5, (0, 1, 2, 3))),
+    (3, 3, 2, "rank"): ((9, (0, 4, 6)), (9, (0, 3, 4, 5, 6))),
+    (3, 3, 2, "terms"): ((9, (0, 4, 6)), (9, (0, 3, 4, 5, 6))),
+    (3, 3, 3, "rank"): ((20, (0, 1, 3, 7, 8, 9)), (6, (1, 2, 3, 4, 5))),
+    (3, 3, 3, "terms"): ((20, (0, 1, 3, 7, 8, 9)), (6, (1, 2, 3, 4, 5))),
+    (3, 3, 4, "rank"): ((14, (2, 6, 7)), (7, (0, 1, 3, 4, 5))),
+    (3, 3, 4, "terms"): ((14, (2, 6, 7)), (7, (0, 1, 3, 4, 5))),
+    (4, 2, 0, "rank"): ((3, (0, 1)), (2, (0,)), (4, (0, 1, 2))),
+    (4, 2, 0, "terms"): ((3, (0, 1)), (2, (0,)), (4, (0, 1, 2))),
+    (4, 2, 1, "rank"): ((16, (0, 4)), (16, (2, 3, 5, 6)), (3, (0, 1))),
+    (4, 2, 1, "terms"): ((16, (0, 4)), (16, (2, 3, 5, 6)), (3, (0, 1))),
+    (4, 2, 2, "rank"): ((7, (0, 3)), (3, (0, 1)), (4, (0, 1, 2))),
+    (4, 2, 2, "terms"): ((7, (0, 3)), (3, (0, 1)), (4, (0, 1, 2))),
+    (4, 2, 3, "rank"): ((4, (0, 2)), (15, (3, 4)), (4, (0, 1, 2))),
+    (4, 2, 3, "terms"): ((4, (0, 2)), (15, (3, 4)), (4, (0, 1, 2))),
+    (4, 2, 4, "rank"): ((7, (0, 2)), (5, (0, 1, 3)), (3, (0, 1))),
+    (4, 2, 4, "terms"): ((7, (0, 2)), (5, (0, 1, 3)), (3, (0, 1))),
+}
+
+
+class TestSearchOrder:
+    def test_node_use_and_choice_are_pinned(self):
+        for (k, n, seed, metric), expected in SEARCH_PIN.items():
+            rng = random.Random(f"{k}:{n}:{seed}")
+            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            budget, got = [SUBSET_CAP], []
+            for level in cover_instance(f, reduced_dnf(f)).levels:
+                before = budget[0]
+                chosen = _best_cover(level, metric, budget)
+                got.append((before - budget[0], chosen))
+            assert tuple(got) == expected, (k, n, seed, metric)
+
 class TestRemoveStep:
     # one step towards a dead-end DNF drops a term that the rest absorb
     def test_duplicate_term_removal_accepted(self):
@@ -327,7 +406,8 @@ class TestCoverInstance:
         inst = cover_instance(star_example, reduced_dnf(star_example))
         assert [lvl.gamma for lvl in inst.levels] == [1]
         level = inst.levels[0]
-        assert functools.reduce(operator.or_, level.covers) == (1 << len(level.universe)) - 1
+        everywhere = sum(1 << encode_point(p, level.k) for p in level.universe)
+        assert functools.reduce(operator.or_, level.covers) == everywhere
 
     def test_rejects_non_realizing_pool(self, star_example):
         with pytest.raises(ValueError):
@@ -343,7 +423,7 @@ class TestCoverInstance:
                 assert level.universe == tuple(p for p in f.points() if f.value(p) == level.gamma)
                 for t, c in zip(level.candidates, level.covers, strict=True):
                     reference = sum(
-                        1 << j for j, p in enumerate(level.universe) if t.interval.contains_point(p)
+                        1 << encode_point(p, k) for p in level.universe if t.interval.contains_point(p)
                     )
                     assert c == reference
 
