@@ -18,16 +18,23 @@ with the level set's.  Realization is one comparison per threshold: a DNF is
 when that union is {p : f(p) >= gamma} for every gamma in 1..k-1.
 dead_end_dnfs enumerates every irredundant cover exhaustively; minimize_dnf
 finds the exact optimum by branch and bound on an explicit stack.  Both
-refuse with CapacityError instead of approximating.  The search lays the
-cover sets out by holder count so that its branch point is a lowest set bit;
-see _best_cover.
+refuse with CapacityError instead of approximating.
+
+The search follows Coudert: essential terms, row and column dominance down
+to the cyclic core, and a lower bound from rows with disjoint holder sets.
+A term is essential exactly when the rest of the reduced DNF does not absorb
+it, the paper's absorption test.  Dominance drops a term only when another
+one of smaller key does its work at no more cost, so the unique optimum
+under the key tie-break survives; see _best_cover.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -151,9 +158,14 @@ def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
     if pool.k != f.k or pool.n != f.n:
         raise ValueError("pool and function shape mismatch")
     k, n = f.k, f.n
+    # the reduce stage's bitsets, by identity: a pool's DNF holds the very
+    # term objects of its levels, and hashing a term hashes every factor; a
+    # term that no level holds gets its bitset computed
+    known = {id(t): bits for lt in pool.levels for t, bits in zip(lt.terms, lt.term_bits)}
     by_level: list[list[tuple[ElementaryConjunction, int]]] = [[] for _ in range(k)]
     for t in pool.dnf.terms:
-        by_level[t.gamma].append((t, _interval_bits(k, t.interval.mask_key())))
+        bits = known.get(id(t))
+        by_level[t.gamma].append((t, _interval_bits(k, t.interval.mask_key()) if bits is None else bits))
     reach = 0
     at_least = [0] * (k + 1)  # at_least[gamma]: bitset of {p : f(p) >= gamma}
     for gamma in range(k - 1, 0, -1):
@@ -242,71 +254,254 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     """Exact minimum-cost cover of one level by branch and bound.
 
     Cost order is lexicographic: primary objective, secondary objective, then
-    the canonical term-key tuple, so the winner is deterministic.  The search
-    runs in pre-order on an explicit stack, one budget unit per node, and
-    branches on the first uncovered point in the order of (number of
-    candidates covering it, index).  Holder counts are added bit-sliced into
-    binary planes, which split the level into one mask per count; with the
-    r-th smallest count's mask shifted r level widths up, the branch point is
-    the lowest bit of the uncovered set.  Its holders are the AND over
-    variables j of the masks of candidates whose factor j holds x_j.
+    the sorted tuple of the chosen terms' canonical keys, so the optimum is
+    unique.  Columns (candidates) are numbered by descending key, and a cover
+    is an int bitset of columns.  Two covers of equal objectives have equally
+    many terms (one objective counts them), and of two sorted key tuples of
+    equal length the smaller holds the least key of the symmetric
+    difference; so the better cover is the larger int.
+
+    Each step below keeps the optimum:
+
+    - A point with one holder makes the holder essential.  Holder counts are
+      added bit-sliced into binary planes, so these points are planes[0]
+      minus the higher planes, found without visiting a point.
+    - The rows are the distinct holder sets (column bitsets) of the points
+      still uncovered.  A row holding another row's holders is covered
+      whenever that one is, so it is dropped.
+    - Column i is dropped when an allowed column j covers all of its rows,
+      costs no more on both objectives, and has a smaller key (j > i).  In a
+      cover holding i, j in place of i (or no i at all, when j is already
+      there) still covers and costs no more; at equal cost the cover gains
+      bit j and loses the lower bit i, so it is the larger int.  The optimum
+      never holds i.
+
+    At the root the three repeat until nothing changes (the cyclic core).
+    The search runs in pre-order on an explicit stack whose entries hold the
+    uncovered rows, the allowed and the chosen columns as ints, so nothing is
+    copied per child.  Each node takes its essential columns, then bounds
+    its completions below: rows with pairwise disjoint holder sets, picked
+    greedily (those meeting the fewest other rows first) need distinct
+    columns, so each adds its cheapest holder on each objective.  A column
+    meets at most one of those rows, so swapping its row's charge for its own
+    cost bounds every completion that takes it; columns bounded strictly
+    above the best cover, and the dominated ones, are barred, which may make
+    new essentials.  Pruning needs a bound strictly worse than the best
+    cover's objectives, so ties still reach the key comparison; at a tie, a
+    completion takes one cheapest holder per bound row and nothing else, so
+    the node is pruned when even the highest such columns do not beat the
+    best cover.  The node then branches on the row with the fewest holders,
+    each later sibling barring the earlier ones' columns.
+
+    The budget counts work units: one per node, plus one per row and per
+    (row, holder) pair each pass over a node's rows touches, plus at the
+    root one per uncovered point and per (row, holder) pair of each
+    reduction pass.  With m candidates every charge is multiplied by
+    1 + m // 1024, as every int operation on a set of columns costs that
+    much more.  A level its essentials cover costs one charge.
     """
-    keys = [t.sort_key() for t in level.candidates]
-    costs = [_term_cost(t, metric) for t in level.candidates]
+    # column c is the term of the c-th largest key, so that on equal objectives
+    # the cover of the smaller sorted key tuple is the larger int bitset
+    order = sorted(range(len(level.candidates)), key=lambda i: level.candidates[i].sort_key(), reverse=True)
+    terms = [level.candidates[i] for i in order]
+    covers = [level.covers[i] for i in order]
+    cost_p, cost_s = zip(*(_term_cost(t, metric) for t in terms))
+    left = budget[0]
+    wide = 1 + len(terms) // 1024  # units per charge, see the docstring
+
+    def spend(units: int) -> None:
+        nonlocal left
+        left -= units * wide
+        budget[0] = left
+        if left < 0:
+            raise CapacityError("minimization search exceeded the node cap")
+
+    def indices(columns: int) -> tuple[int, ...]:
+        return tuple(sorted(order[c] for c in _set_bits(columns)))
+
+    spend(1)
     planes: list[int] = []  # planes[j]: points whose holder count has bit j set
-    for c in level.covers:
+    for c in covers:
         for j, plane in enumerate(planes):
             if not c:
                 break
             planes[j], c = plane ^ c, plane & c
         if c:
             planes.append(c)
-    groups = [level.level_bits]  # split by count bits, high to low, so ascending
-    for plane in reversed(planes):
-        groups = [g for x in groups for g in (x & ~plane, x & plane) if g]
-    width = level.level_bits.bit_length()
-    *covers, need = (
-        sum((c & g) << r * width for r, g in enumerate(groups))
-        for c in (*level.covers, level.level_bits)
-    )
+    once = planes[0] & ~functools.reduce(operator.or_, planes[1:], 0)
+    taken = sum(1 << c for c, cover in enumerate(covers) if cover & once)
+    free = level.level_bits
+    for c in _set_bits(taken):
+        free &= ~covers[c]
+    if not free:
+        return indices(taken)
+
     k, n = level.k, level.n
-    masks = [t.interval.mask_key() for t in reversed(level.candidates)]
-    # holds[j][x]: the candidates whose factor j holds x, highest first as a binary numeral
-    holds = [[int("".join("01"[m[j] >> x & 1] for m in masks), 2) for x in range(k)] for j in range(n)]
-
-    @functools.cache  # children of a branch bit, in reverse so the stack pops them in order
-    def children(b: int) -> list:
-        held, kids = -1, []
-        for j, x in enumerate(decode_point(b % width, k, n)):
+    points = _set_bits(free)
+    spend(len(points))
+    masks = [t.interval.mask_key() for t in reversed(terms)]
+    # holds[j][x]: the columns whose factor j holds x, highest first as a binary numeral
+    holds = [[int("".join("01"[mk[j] >> x & 1] for mk in masks), 2) for x in range(k)] for j in range(n)]
+    rows = set()
+    for b in points:
+        held = -1
+        for j, x in enumerate(decode_point(b, k, n)):
             held &= holds[j][x]
-        while held:
-            i = held.bit_length() - 1
-            kids.append((i, need ^ covers[i], *costs[i]))  # need ^ cover: the points it misses
-            held ^= 1 << i
-        return kids
+        rows.add(held)
 
-    best = (math.inf, math.inf, ())  # objectives and sorted term keys of the best cover
-    bp, bs = best[:2]
-    left = budget[0]
-    stack = [(need, (), 0, 0)]  # uncovered, chosen, primary, secondary
+    # columns by cost, as bitsets: primary[v] and secondary[v] cost v on that
+    # objective (keys ascending); joint is the ascending list of (primary,
+    # secondary) pairs, dearer[t] the columns whose pair is joint[t] or later,
+    # and no_dearer[pair] the columns costing no more than pair on either one
+    primary = {v: sum(1 << c for c, x in enumerate(cost_p) if x == v) for v in sorted(set(cost_p))}
+    secondary = {v: sum(1 << c for c, x in enumerate(cost_s) if x == v) for v in sorted(set(cost_s))}
+    joint = sorted(set(zip(cost_p, cost_s)))
+    dearer = list(itertools.accumulate(
+        (primary[a] & secondary[b] for a, b in reversed(joint)), operator.or_, initial=0))[::-1]
+    no_dearer = {
+        (a, b): sum(primary[x] & secondary[y] for x, y in joint if x <= a and y <= b) for a, b in joint
+    }
+
+    def dominated(columns: int, rows: int, allowed: int) -> int:
+        """The columns that an allowed column of smaller key dominates on the
+        rows: it covers all of them there and costs no more."""
+        out = 0
+        for i in _set_bits(columns):
+            over = allowed  # the allowed columns covering every row that i covers
+            x = cols[i] & rows
+            while x:
+                low = x & -x
+                x ^= low
+                over &= kept[low.bit_length() - 1]
+            if (over & no_dearer[cost_p[i], cost_s[i]]) >> i + 1:
+                out |= 1 << i
+        return out
+
+    def index(rows: list[int]) -> list[int]:
+        """cols[c]: the positions in rows of the rows that column c covers."""
+        cols = [0] * len(terms)
+        for r, h in enumerate(rows):
+            for c in _set_bits(h):
+                cols[c] |= 1 << r
+        return cols
+
+    alive = functools.reduce(operator.or_, rows)
+    while True:  # reduce to the cyclic core
+        spend(sum(map(int.bit_count, rows)))
+        single = functools.reduce(operator.or_, (h for h in rows if not h & h - 1), 0)
+        if single:
+            taken |= single
+            rows = {h for h in rows if not h & single}
+            alive &= ~single
+            continue
+        # a row's strict supersets are the other rows holding each of its columns
+        ordered = sorted(rows, key=int.bit_count)
+        cols = index(ordered)
+        supersets = 0
+        for r, h in enumerate(ordered):
+            supersets |= functools.reduce(operator.and_, (cols[c] for c in _set_bits(h))) & ~(1 << r)
+        kept = [h for r, h in enumerate(ordered) if not supersets >> r & 1]  # fewest holders first
+        cols = index(kept)
+        every = (1 << len(kept)) - 1
+        idle = sum(1 << c for c in _set_bits(alive) if not cols[c])
+        drop = idle | dominated(alive & ~idle, every, alive)
+        if not drop and not supersets:
+            break
+        alive &= ~drop
+        rows = {h & alive for h in kept}
+    if not rows:
+        return indices(taken)
+
+    def met(h: int, free: int) -> int:
+        """How many free rows the columns of h cover between them."""
+        near = 0
+        while h:
+            low = h & -h
+            h ^= low
+            near |= cols[low.bit_length() - 1]
+        return (near & free).bit_count()
+
+    bp = bs = math.inf  # objectives of the best cover found
+    best = 0  # its columns
+    stack = [(every, alive, taken, sum(cost_p[c] for c in _set_bits(taken)),
+              sum(cost_s[c] for c in _set_bits(taken)))]  # uncovered rows, allowed and chosen columns, p, s
     while stack:
-        free, chosen, p, s = stack.pop()
-        left -= 1
-        if left < 0:
-            budget[0] = left
-            raise CapacityError("minimization search exceeded the node cap")
-        if p > bp or (p == bp and s > bs):
-            continue
-        if not free:
-            key = (p, s, tuple(sorted(keys[i] for i in chosen)))
-            if key < best:
-                best, bp, bs = key, p, s
-            continue
-        for i, rest, cp, cs in children((free & -free).bit_length() - 1):
-            stack.append((free & rest, chosen + (i,), p + cp, s + cs))
-    budget[0] = left
-    chosen_keys = set(best[2])
-    return tuple(i for i in range(len(level.candidates)) if keys[i] in chosen_keys)
+        free, allowed, chosen, p, s = stack.pop()
+        spend(1)
+        while True:  # again after taking essential columns or excluding columns
+            if p > bp or (p == bp and s > bs):
+                break
+            spend(free.bit_count())
+            ess = reach = 0
+            held = []
+            x = free
+            while x:
+                low = x & -x
+                x ^= low
+                h = kept[low.bit_length() - 1] & allowed
+                if not h:
+                    break  # a row no allowed column covers: a dead end
+                reach |= h
+                if not h & h - 1:
+                    ess |= h
+                held.append(h)
+            else:
+                if ess:
+                    for c in _set_bits(ess):
+                        free &= ~cols[c]
+                        p += cost_p[c]
+                        s += cost_s[c]
+                    chosen |= ess
+                    continue
+                if not free:
+                    if (p, s) < (bp, bs) or chosen > best:
+                        bp, bs, best = p, s, chosen
+                    break
+                spend(sum(map(int.bit_count, held)))
+                degree = {h: met(h, free) for h in held}
+                # branch on a row with the fewest holders, the most constrained
+                # of them; bound with the rows meeting the fewest others first
+                branch = min(held, key=lambda h: (h.bit_count(), -degree[h]))
+                held.sort(key=lambda h: (degree[h], h.bit_count()))
+                used = lp = ls = top = 0
+                charged = []  # the bound's rows with their charges
+                for h in held:
+                    if not h & used:  # disjoint from the bound's rows so far
+                        used |= h
+                        cp = next(v for v, bits in primary.items() if h & bits)
+                        cs = next(v for v, bits in secondary.items() if h & bits)
+                        lp += cp
+                        ls += cs
+                        charged.append((h, cp, cs))
+                        cheapest = h & primary[cp] & secondary[cs]
+                        if cheapest:
+                            top |= 1 << cheapest.bit_length() - 1
+                bound = (p + lp, s + ls)
+                if bound > (bp, bs):
+                    break
+                # a cover of the bound's objectives takes one cheapest column
+                # per bound row and nothing else, so its bitset is at most top
+                if bound == (bp, bs) and chosen | top <= best:
+                    break
+                # a column meets at most one bound row, so taking it costs at
+                # least the bound with that row's charge replaced by its own
+                slack = (bp - bound[0], bs - bound[1])
+                barred = reach & ~used & dearer[bisect.bisect_right(joint, slack)]
+                for h, cp, cs in charged:
+                    barred |= h & dearer[bisect.bisect_right(joint, (slack[0] + cp, slack[1] + cs))]
+                barred |= dominated(reach & ~barred, free, allowed & ~barred)
+                if barred:
+                    allowed &= ~barred
+                    continue
+                # the column covering the most free rows first, then the smaller key
+                kids = sorted(_set_bits(branch), key=lambda c: (-(cols[c] & free).bit_count(), -c))
+                barred = branch
+                for c in reversed(kids):  # pushed last first, so popped in order
+                    barred ^= 1 << c
+                    stack.append((free & ~cols[c], allowed & ~barred, chosen | 1 << c,
+                                  p + cost_p[c], s + cost_s[c]))
+            break
+    return indices(best)
 
 
 def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult:

@@ -65,9 +65,10 @@ class CarrierSet:
 class LevelTerms:
     """Terms of one output level with the carrier they are maximal in.
 
-    The level set and the carrier are kept as the int bitsets over point
-    indices that the reduce stage computed; level_points and carrier decode
-    them into points only when they are read.
+    The level set, the carrier and each term's interval (term_bits, aligned
+    with terms) are kept as the int bitsets over point indices that the
+    reduce stage computed; level_points and carrier decode them into points
+    only when they are read.
     """
 
     k: int
@@ -76,6 +77,7 @@ class LevelTerms:
     level_bits: int = field(repr=False)
     carrier_bits: int = field(repr=False)
     terms: tuple[ElementaryConjunction, ...]
+    term_bits: tuple[int, ...] = field(repr=False)
 
     @property
     def level_points(self) -> frozenset[Point]:
@@ -194,12 +196,9 @@ def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
         carrier = _bits_where(table, range(gamma, 256))
         level = _bits_where(table, (gamma,))
         found = sorted(_maximal(k, carrier, n, memo, budget), key=lambda f: f[1])
-        terms = tuple(
-            ElementaryConjunction(Interval(k, tuple(map(ValueSet, masks))), gamma)
-            for bits, masks in found
-            if bits & level
-        )
-        levels.append(LevelTerms(k, n, gamma, level, carrier, terms))
+        found = [(bits, masks) for bits, masks in found if bits & level]
+        terms = tuple(ElementaryConjunction(Interval(k, tuple(map(ValueSet, masks))), gamma) for _, masks in found)
+        levels.append(LevelTerms(k, n, gamma, level, carrier, terms, tuple(bits for bits, _ in found)))
     return ReducedDnf(Dnf(k, n, tuple(t for lt in levels for t in lt.terms)), tuple(levels))
 
 

@@ -1,11 +1,14 @@
+import random
 import time
 from pathlib import Path
 
 import pytest
 
+from kdnf import KFunction, functions_equal
 from kdnf.cli import main
 from kdnf.monotone import star_order, total_order
 from kdnf.oracle import oracle_is_monotone
+from kdnf.textio import parse_dnf, print_function
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "star_example.kfn")
@@ -75,6 +78,29 @@ class TestMinimize:
         out, seconds = run_on_constant_one(capsys, tmp_path, "minimize")
         assert out == "TRUE->1\nobjective: 1\n"
         assert seconds < 2.0
+
+    @pytest.mark.parametrize(
+        "k, n, label", [(2, 8, "2:8:4"), (3, 5, "3:5:1"), (4, 4, "4:4:0"), (2, 13, "2:13:0")]
+    )
+    def test_dense_random_answers_or_refuses_in_bounded_time(self, capsys, tmp_path, k, n, label):
+        # the budget counts the search's work, so the call ends soon either
+        # way; every table but the k=2 n=8 one passes the cap, so refusals
+        # are timed too, the n=13 one on 6398 candidate terms
+        rng = random.Random(label)
+        f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+        path = tmp_path / "dense.kfn"
+        path.write_text(print_function(f))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "minimize", str(path))
+        assert time.perf_counter() - start < 3.0
+        if code == 0:
+            *terms, objective = out.splitlines()
+            d = parse_dnf(f"k={k} n={n}\n" + "\n".join(terms) + "\n")
+            assert functions_equal(d.as_function(), f)
+            assert objective == f"objective: {len(terms)}"
+        else:
+            assert code == 3
+            assert "minimization search exceeded the node cap" in err
 
 
 class TestDeadend:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import operator
 import random
 
@@ -25,10 +26,11 @@ from kdnf import (
     reduced_dnf,
     total_order,
 )
-from kdnf.core import encode_point
-from kdnf.minimize import SUBSET_CAP, _best_cover
+from kdnf.core import decode_point, encode_point
+from kdnf.minimize import SUBSET_CAP, _best_cover, _term_cost
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
+from kdnf.textio import print_dnf
 
 from .conftest import ec
 from .instances import star_absorption_instances
@@ -254,12 +256,19 @@ class TestMinimize:
         assert res.objective_value == 9
 
     def test_chain_monotone_optimum_is_the_reduced_dnf(self):
+        # every term has a point no other term covers, so the essentials
+        # alone cover each level: the search spends only the root's unit
         rng = random.Random(8)
         functions = list(iter_monotone_functions(2, 3, total_order(3)))
         for f in rng.sample(functions, 30):
             pool = reduced_dnf(f)
             assert minimize_dnf(f, METRIC_TERMS).dnf == pool.dnf
             assert minimize_dnf(f, METRIC_RANK).dnf == pool.dnf
+            for metric in (METRIC_TERMS, METRIC_RANK):
+                for level in cover_instance(f, pool).levels:
+                    budget = [SUBSET_CAP]
+                    assert _best_cover(level, metric, budget) == tuple(range(len(level.candidates)))
+                    assert budget == [SUBSET_CAP - 1]
 
     def test_matches_oracle_exhaustively_k2(self):
         for n in (1, 2, 3):
@@ -292,7 +301,7 @@ class TestMinimize:
 
     def test_parity_k2_n11_matches_closed_form(self):
         # 2**10 minterms of rank 11 each; every term is essential, so the
-        # search is one path 1024 nodes deep
+        # root takes them all and the search never branches
         f = KFunction.from_callable(2, 11, lambda p: sum(p) % 2)
         assert minimize_dnf(f, METRIC_TERMS).objective_value == 1024
         assert minimize_dnf(f, METRIC_RANK).objective_value == 11264
@@ -303,51 +312,190 @@ class TestMinimize:
 
 
 
-# _best_cover's node use and chosen candidates per level, (k, n, seed, metric)
-# -> ((nodes, chosen), ...), one budget shared by the levels as in
-# minimize_dnf.  A change of representation must keep the node order; a change
-# of algorithm re-records these on purpose.
+# The search that _best_cover replaced: plain branch and bound with one budget
+# unit per node, no essentials, dominance or lower bound.  It is kept as the
+# reference for exactness; its docstring is the one it had.
+def reference_best_cover(level, metric: str, budget: list[int]) -> tuple[int, ...]:
+    """Exact minimum-cost cover of one level by branch and bound.
+
+    Cost order is lexicographic: primary objective, secondary objective, then
+    the canonical term-key tuple, so the winner is deterministic.  The search
+    runs in pre-order on an explicit stack, one budget unit per node, and
+    branches on the first uncovered point in the order of (number of
+    candidates covering it, index).  Holder counts are added bit-sliced into
+    binary planes, which split the level into one mask per count; with the
+    r-th smallest count's mask shifted r level widths up, the branch point is
+    the lowest bit of the uncovered set.  Its holders are the AND over
+    variables j of the masks of candidates whose factor j holds x_j.
+    """
+    keys = [t.sort_key() for t in level.candidates]
+    costs = [_term_cost(t, metric) for t in level.candidates]
+    planes: list[int] = []  # planes[j]: points whose holder count has bit j set
+    for c in level.covers:
+        for j, plane in enumerate(planes):
+            if not c:
+                break
+            planes[j], c = plane ^ c, plane & c
+        if c:
+            planes.append(c)
+    groups = [level.level_bits]  # split by count bits, high to low, so ascending
+    for plane in reversed(planes):
+        groups = [g for x in groups for g in (x & ~plane, x & plane) if g]
+    width = level.level_bits.bit_length()
+    *covers, need = (
+        sum((c & g) << r * width for r, g in enumerate(groups))
+        for c in (*level.covers, level.level_bits)
+    )
+    k, n = level.k, level.n
+    masks = [t.interval.mask_key() for t in reversed(level.candidates)]
+    # holds[j][x]: the candidates whose factor j holds x, highest first as a binary numeral
+    holds = [[int("".join("01"[m[j] >> x & 1] for m in masks), 2) for x in range(k)] for j in range(n)]
+
+    @functools.cache  # children of a branch bit, in reverse so the stack pops them in order
+    def children(b: int) -> list:
+        held, kids = -1, []
+        for j, x in enumerate(decode_point(b % width, k, n)):
+            held &= holds[j][x]
+        while held:
+            i = held.bit_length() - 1
+            kids.append((i, need ^ covers[i], *costs[i]))  # need ^ cover: the points it misses
+            held ^= 1 << i
+        return kids
+
+    best = (math.inf, math.inf, ())  # objectives and sorted term keys of the best cover
+    bp, bs = best[:2]
+    left = budget[0]
+    stack = [(need, (), 0, 0)]  # uncovered, chosen, primary, secondary
+    while stack:
+        free, chosen, p, s = stack.pop()
+        left -= 1
+        if left < 0:
+            budget[0] = left
+            raise CapacityError("minimization search exceeded the node cap")
+        if p > bp or (p == bp and s > bs):
+            continue
+        if not free:
+            key = (p, s, tuple(sorted(keys[i] for i in chosen)))
+            if key < best:
+                best, bp, bs = key, p, s
+            continue
+        for i, rest, cp, cs in children((free & -free).bit_length() - 1):
+            stack.append((free & rest, chosen + (i,), p + cp, s + cs))
+    budget[0] = left
+    chosen_keys = set(best[2])
+    return tuple(i for i in range(len(level.candidates)) if keys[i] in chosen_keys)
+
+
+
+def random_levels(label: str, k: int, n: int):
+    rng = random.Random(label)
+    f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    return f, cover_instance(f, reduced_dnf(f)).levels
+
+
+# the input of the benchmark's node-capped op: the reference search needs
+# 3,168,899 nodes for it; this is its answer, recorded once, uncapped
+CAPPED_K2N7 = """\
+J{0}(x1)*J{0}(x2)*J{0}(x3)*J{0}(x4)*J{0}(x5)*J{0}(x6)->1
+J{0}(x1)*J{0}(x2)*J{1}(x3)*J{1}(x4)*J{0}(x5)->1
+J{0}(x1)*J{0}(x2)*J{1}(x3)*J{0}(x5)*J{1}(x7)->1
+J{0}(x1)*J{1}(x2)*J{0}(x3)*J{1}(x4)*J{0}(x5)->1
+J{0}(x1)*J{1}(x2)*J{0}(x3)*J{1}(x5)*J{0}(x6)->1
+J{0}(x1)*J{1}(x2)*J{1}(x3)*J{1}(x4)*J{1}(x5)*J{1}(x7)->1
+J{0}(x1)*J{1}(x2)*J{1}(x3)*J{0}(x5)*J{0}(x6)*J{0}(x7)->1
+J{0}(x1)*J{1}(x2)*J{0}(x4)*J{0}(x5)*J{1}(x7)->1
+J{0}(x1)*J{0}(x3)*J{1}(x4)*J{1}(x5)*J{0}(x6)*J{0}(x7)->1
+J{0}(x1)*J{1}(x3)*J{0}(x4)*J{1}(x5)*J{0}(x6)*J{0}(x7)->1
+J{0}(x1)*J{1}(x3)*J{1}(x4)*J{1}(x5)*J{1}(x6)*J{0}(x7)->1
+J{1}(x1)*J{0}(x2)*J{0}(x3)*J{0}(x4)*J{0}(x6)*J{0}(x7)->1
+J{1}(x1)*J{0}(x2)*J{0}(x3)*J{1}(x4)*J{0}(x5)->1
+J{1}(x1)*J{0}(x2)*J{0}(x3)*J{1}(x4)*J{1}(x6)->1
+J{1}(x1)*J{0}(x2)*J{1}(x3)*J{1}(x6)*J{0}(x7)->1
+J{1}(x1)*J{0}(x2)*J{0}(x4)*J{0}(x5)*J{0}(x7)->1
+J{1}(x1)*J{0}(x2)*J{1}(x4)*J{0}(x6)*J{1}(x7)->1
+J{1}(x1)*J{1}(x2)*J{0}(x3)*J{0}(x4)*J{1}(x5)*J{1}(x7)->1
+J{1}(x1)*J{0}(x3)*J{1}(x4)*J{0}(x6)*J{1}(x7)->1
+J{1}(x1)*J{0}(x3)*J{0}(x5)*J{1}(x6)*J{0}(x7)->1
+J{1}(x1)*J{1}(x3)*J{0}(x4)*J{1}(x5)*J{0}(x6)*J{1}(x7)->1
+J{1}(x1)*J{1}(x4)*J{0}(x5)*J{0}(x6)*J{1}(x7)->1
+J{0}(x2)*J{0}(x3)*J{1}(x4)*J{1}(x6)*J{1}(x7)->1
+J{0}(x2)*J{0}(x4)*J{1}(x5)*J{1}(x6)*J{1}(x7)->1
+J{1}(x2)*J{1}(x3)*J{1}(x4)*J{1}(x5)*J{1}(x6)*J{1}(x7)->1
+J{1}(x3)*J{0}(x4)*J{0}(x5)*J{1}(x6)->1
+"""
+
+
+class TestBestCover:
+    def test_chooses_what_the_reference_chooses(self):
+        # the reference gets a small cap; only searches it finishes count
+        compared = 0
+        for k, n in [(2, 5), (2, 6), (3, 3), (3, 4), (4, 2), (4, 3)]:
+            for seed in range(12):
+                _, levels = random_levels(f"exact:{k}:{n}:{seed}", k, n)
+                for metric in (METRIC_TERMS, METRIC_RANK):
+                    try:
+                        budget = [20_000]
+                        expected = [reference_best_cover(level, metric, budget) for level in levels]
+                    except CapacityError:
+                        continue
+                    budget = [SUBSET_CAP]
+                    assert [_best_cover(level, metric, budget) for level in levels] == expected, (k, n, seed)
+                    compared += 1
+        assert compared >= 100
+
+    def test_answers_the_input_the_reference_could_not(self):
+        f, levels = random_levels("random-k2n7:3", 2, 7)
+        budget = [SUBSET_CAP]
+        terms = [level.candidates[i] for level in levels for i in _best_cover(level, METRIC_TERMS, budget)]
+        assert print_dnf(Dnf(2, 7, tuple(terms))) == CAPPED_K2N7
+        assert minimize_dnf(f, METRIC_TERMS).objective_value == 26
+
+
+# _best_cover's budget use and chosen candidates per level, (k, n, seed,
+# metric) -> ((units, chosen), ...), one budget shared by the levels as in
+# minimize_dnf.  The chosen candidates are the reference search's; the units
+# pin the search's order and work, and change only on purpose.
 SEARCH_PIN = {
-    (2, 5, 0, "rank"): ((16, (1, 3, 5, 6, 7)),),
-    (2, 5, 0, "terms"): ((16, (1, 3, 5, 6, 7)),),
-    (2, 5, 1, "rank"): ((8, (0, 1, 2, 3, 4, 5)),),
-    (2, 5, 1, "terms"): ((8, (0, 1, 2, 3, 4, 5)),),
-    (2, 5, 2, "rank"): ((119, (0, 1, 2, 3, 4, 8, 10, 15, 16)),),
-    (2, 5, 2, "terms"): ((119, (0, 1, 2, 3, 4, 8, 10, 15, 16)),),
-    (2, 5, 3, "rank"): ((264, (1, 5, 7, 10, 11, 13, 14, 15)),),
-    (2, 5, 3, "terms"): ((264, (1, 5, 7, 10, 11, 13, 14, 15)),),
-    (2, 5, 4, "rank"): ((7, (0, 1, 2, 4, 5, 7)),),
-    (2, 5, 4, "terms"): ((7, (0, 1, 2, 4, 5, 7)),),
-    (2, 6, 0, "rank"): ((795, (0, 1, 3, 7, 9, 13, 16, 18, 19, 20, 21, 22, 24)),),
-    (2, 6, 0, "terms"): ((795, (0, 1, 3, 7, 9, 13, 16, 18, 19, 20, 21, 22, 24)),),
-    (2, 6, 1, "rank"): ((10366, (0, 1, 4, 6, 9, 10, 12, 13, 15, 17, 21, 23, 24, 26, 27, 29)),),
-    (2, 6, 1, "terms"): ((10366, (0, 1, 4, 6, 9, 10, 12, 13, 15, 17, 21, 23, 24, 26, 27, 29)),),
-    (2, 6, 2, "rank"): ((183, (0, 4, 6, 7, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21)),),
-    (2, 6, 2, "terms"): ((183, (0, 4, 6, 7, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21)),),
-    (2, 6, 3, "rank"): ((1269, (0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 20, 21, 23)),),
-    (2, 6, 3, "terms"): ((1269, (0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 20, 21, 23)),),
-    (2, 6, 7, "rank"): ((2858, (0, 1, 4, 7, 8, 13, 16, 17, 18, 20, 21, 24, 25, 29, 30)),),
-    (2, 6, 7, "terms"): ((2868, (0, 1, 4, 7, 8, 13, 16, 17, 18, 20, 21, 24, 25, 29, 30)),),
-    (3, 3, 0, "rank"): ((24, (0, 3, 6, 9)), (15, (1, 2, 3, 4, 6, 7))),
-    (3, 3, 0, "terms"): ((24, (0, 3, 6, 9)), (15, (1, 2, 3, 4, 6, 7))),
-    (3, 3, 1, "rank"): ((35, (0, 3, 4, 7, 9)), (5, (0, 1, 2, 3))),
-    (3, 3, 1, "terms"): ((35, (0, 3, 4, 7, 9)), (5, (0, 1, 2, 3))),
-    (3, 3, 2, "rank"): ((9, (0, 4, 6)), (9, (0, 3, 4, 5, 6))),
-    (3, 3, 2, "terms"): ((9, (0, 4, 6)), (9, (0, 3, 4, 5, 6))),
-    (3, 3, 3, "rank"): ((20, (0, 1, 3, 7, 8, 9)), (6, (1, 2, 3, 4, 5))),
-    (3, 3, 3, "terms"): ((20, (0, 1, 3, 7, 8, 9)), (6, (1, 2, 3, 4, 5))),
-    (3, 3, 4, "rank"): ((14, (2, 6, 7)), (7, (0, 1, 3, 4, 5))),
-    (3, 3, 4, "terms"): ((14, (2, 6, 7)), (7, (0, 1, 3, 4, 5))),
-    (4, 2, 0, "rank"): ((3, (0, 1)), (2, (0,)), (4, (0, 1, 2))),
-    (4, 2, 0, "terms"): ((3, (0, 1)), (2, (0,)), (4, (0, 1, 2))),
-    (4, 2, 1, "rank"): ((16, (0, 4)), (16, (2, 3, 5, 6)), (3, (0, 1))),
-    (4, 2, 1, "terms"): ((16, (0, 4)), (16, (2, 3, 5, 6)), (3, (0, 1))),
-    (4, 2, 2, "rank"): ((7, (0, 3)), (3, (0, 1)), (4, (0, 1, 2))),
-    (4, 2, 2, "terms"): ((7, (0, 3)), (3, (0, 1)), (4, (0, 1, 2))),
-    (4, 2, 3, "rank"): ((4, (0, 2)), (15, (3, 4)), (4, (0, 1, 2))),
-    (4, 2, 3, "terms"): ((4, (0, 2)), (15, (3, 4)), (4, (0, 1, 2))),
-    (4, 2, 4, "rank"): ((7, (0, 2)), (5, (0, 1, 3)), (3, (0, 1))),
-    (4, 2, 4, "terms"): ((7, (0, 2)), (5, (0, 1, 3)), (3, (0, 1))),
+    (2, 5, 0, "rank"): ((41, (1, 3, 5, 6, 7)),),
+    (2, 5, 0, "terms"): ((41, (1, 3, 5, 6, 7)),),
+    (2, 5, 1, "rank"): ((9, (0, 1, 2, 3, 4, 5)),),
+    (2, 5, 1, "terms"): ((9, (0, 1, 2, 3, 4, 5)),),
+    (2, 5, 2, "rank"): ((139, (0, 1, 2, 3, 4, 8, 10, 15, 16)),),
+    (2, 5, 2, "terms"): ((139, (0, 1, 2, 3, 4, 8, 10, 15, 16)),),
+    (2, 5, 3, "rank"): ((293, (1, 5, 7, 10, 11, 13, 14, 15)),),
+    (2, 5, 3, "terms"): ((293, (1, 5, 7, 10, 11, 13, 14, 15)),),
+    (2, 5, 4, "rank"): ((1, (0, 1, 2, 4, 5, 7)),),
+    (2, 5, 4, "terms"): ((1, (0, 1, 2, 4, 5, 7)),),
+    (2, 6, 0, "rank"): ((226, (0, 1, 3, 7, 9, 13, 16, 18, 19, 20, 21, 22, 24)),),
+    (2, 6, 0, "terms"): ((226, (0, 1, 3, 7, 9, 13, 16, 18, 19, 20, 21, 22, 24)),),
+    (2, 6, 1, "rank"): ((828, (0, 1, 4, 6, 9, 10, 12, 13, 15, 17, 21, 23, 24, 26, 27, 29)),),
+    (2, 6, 1, "terms"): ((828, (0, 1, 4, 6, 9, 10, 12, 13, 15, 17, 21, 23, 24, 26, 27, 29)),),
+    (2, 6, 2, "rank"): ((38, (0, 4, 6, 7, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21)),),
+    (2, 6, 2, "terms"): ((38, (0, 4, 6, 7, 9, 11, 12, 13, 14, 16, 17, 19, 20, 21)),),
+    (2, 6, 3, "rank"): ((288, (0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 20, 21, 23)),),
+    (2, 6, 3, "terms"): ((288, (0, 2, 3, 4, 5, 7, 8, 9, 11, 13, 15, 16, 20, 21, 23)),),
+    (2, 6, 7, "rank"): ((414, (0, 1, 4, 7, 8, 13, 16, 17, 18, 20, 21, 24, 25, 29, 30)),),
+    (2, 6, 7, "terms"): ((414, (0, 1, 4, 7, 8, 13, 16, 17, 18, 20, 21, 24, 25, 29, 30)),),
+    (3, 3, 0, "rank"): ((55, (0, 3, 6, 9)), (29, (1, 2, 3, 4, 6, 7))),
+    (3, 3, 0, "terms"): ((55, (0, 3, 6, 9)), (29, (1, 2, 3, 4, 6, 7))),
+    (3, 3, 1, "rank"): ((79, (0, 3, 4, 7, 9)), (1, (0, 1, 2, 3))),
+    (3, 3, 1, "terms"): ((79, (0, 3, 4, 7, 9)), (1, (0, 1, 2, 3))),
+    (3, 3, 2, "rank"): ((34, (0, 4, 6)), (17, (0, 3, 4, 5, 6))),
+    (3, 3, 2, "terms"): ((34, (0, 4, 6)), (17, (0, 3, 4, 5, 6))),
+    (3, 3, 3, "rank"): ((44, (0, 1, 3, 7, 8, 9)), (1, (1, 2, 3, 4, 5))),
+    (3, 3, 3, "terms"): ((44, (0, 1, 3, 7, 8, 9)), (1, (1, 2, 3, 4, 5))),
+    (3, 3, 4, "rank"): ((23, (2, 6, 7)), (5, (0, 1, 3, 4, 5))),
+    (3, 3, 4, "terms"): ((23, (2, 6, 7)), (5, (0, 1, 3, 4, 5))),
+    (4, 2, 0, "rank"): ((1, (0, 1)), (1, (0,)), (1, (0, 1, 2))),
+    (4, 2, 0, "terms"): ((1, (0, 1)), (1, (0,)), (1, (0, 1, 2))),
+    (4, 2, 1, "rank"): ((12, (0, 4)), (43, (2, 3, 5, 6)), (1, (0, 1))),
+    (4, 2, 1, "terms"): ((12, (0, 4)), (43, (2, 3, 5, 6)), (1, (0, 1))),
+    (4, 2, 2, "rank"): ((29, (0, 3)), (1, (0, 1)), (1, (0, 1, 2))),
+    (4, 2, 2, "terms"): ((29, (0, 3)), (1, (0, 1)), (1, (0, 1, 2))),
+    (4, 2, 3, "rank"): ((6, (0, 2)), (48, (3, 4)), (1, (0, 1, 2))),
+    (4, 2, 3, "terms"): ((6, (0, 2)), (48, (3, 4)), (1, (0, 1, 2))),
+    (4, 2, 4, "rank"): ((16, (0, 2)), (5, (0, 1, 3)), (1, (0, 1))),
+    (4, 2, 4, "terms"): ((16, (0, 2)), (5, (0, 1, 3)), (1, (0, 1))),
 }
 
 
