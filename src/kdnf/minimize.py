@@ -16,9 +16,9 @@ points come from its factor masks, and its cover set is that bitset ANDed
 with the level set's.  Realization is one comparison per threshold: a DNF is
 >= gamma exactly on the union of its terms of level >= gamma, so it equals f
 when that union is {p : f(p) >= gamma} for every gamma in 1..k-1.
-dead_end_dnfs enumerates every irredundant cover exhaustively; minimize_dnf
-finds the exact optimum by branch and bound on an explicit stack.  Both
-refuse with CapacityError instead of approximating.
+dead_end_dnfs lists every irredundant cover and minimize_dnf finds the exact
+optimum; both start at _root, search on an explicit stack and refuse with
+CapacityError instead of approximating.
 
 The search follows Coudert: essential terms, row and column dominance down
 to the cyclic core, and a lower bound from rows with disjoint holder sets.
@@ -35,7 +35,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .core import (
@@ -51,7 +51,7 @@ from .reduce import ReducedDnf, _bits_where, _interval_bits, _set_bits, reduced_
 METRIC_TERMS = "terms"  # fewest conjunctions: the shortest DNF
 METRIC_RANK = "rank"    # least total rank: the minimal DNF
 
-SUBSET_CAP = 10**6  # visited subsets / search nodes before giving up
+SUBSET_CAP = 10**6  # work units of one dead_end_dnfs or minimize_dnf call before giving up
 
 
 def absorbs(d: Dnf, ec: ElementaryConjunction) -> bool:
@@ -183,58 +183,105 @@ def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
     return CoverInstance(k, n, tuple(levels))
 
 
-def _subset_ors(covers: Sequence[int]) -> list[int]:
-    """OR of the covers in every subset, indexed by the subset's bitmask."""
-    table = [0]
+def _index(rows: Sequence[int], m: int) -> list[int]:
+    """cols[c] for each of m columns: the positions in rows of the rows holding c."""
+    cols = [0] * m
+    for r, h in enumerate(rows):
+        for c in _set_bits(h):
+            cols[c] |= 1 << r
+    return cols
+
+
+def _root(level: LevelCover, terms: Sequence, covers: Sequence, spend: Callable[[int], None]) -> tuple[int, list]:
+    """The essential columns of a level, holders of one-holder points (planes[0]
+    minus the higher planes of bit-sliced holder counts), and its rows: the
+    distinct holder sets of the points they leave.  Column c is terms[c],
+    covering covers[c].  Charges one unit, plus one per point left."""
+    spend(1)
+    planes: list[int] = []  # planes[j]: points whose holder count has bit j set
     for c in covers:
-        table += [x | c for x in table]
-    return table
+        for j, plane in enumerate(planes):
+            if not c:
+                break
+            planes[j], c = plane ^ c, plane & c
+        if c:
+            planes.append(c)
+    once = planes[0] & ~functools.reduce(operator.or_, planes[1:], 0)
+    taken = sum(1 << c for c, cover in enumerate(covers) if cover & once)
+    free = level.level_bits & ~functools.reduce(operator.or_, (covers[c] for c in _set_bits(taken)), 0)
+    if not free:
+        return taken, []
+    spend(free.bit_count())
+    k, n = level.k, level.n
+    masks = [t.interval.mask_key() for t in reversed(terms)]
+    # holds[j][x]: the columns whose factor j holds x, highest first as a binary
+    # numeral; a point's holders are the AND over j of holds[j][x_j]
+    holds = [[int("".join("01"[mk[j] >> x & 1] for mk in masks), 2) for x in range(k)] for j in range(n)]
+    held = (map(list.__getitem__, holds, decode_point(b, k, n)) for b in _set_bits(free))
+    return taken, list({functools.reduce(operator.and_, h) for h in held})
 
 
-def _irredundant_covers(level: LevelCover, budget: list[int]) -> list[tuple[int, ...]]:
-    """All irredundant covering candidate subsets of one level, exhaustively.
-
-    The union of a subset is looked up in two tables of 2**(m/2) unions, one
-    per half of the candidates, so only covering subsets cost more.
-    """
-    m = len(level.candidates)
-    need = level.level_bits
-    if 1 << m > budget[0]:
-        raise CapacityError(f"level {level.gamma}: 2**{m} subsets exceed the enumeration cap")
-    budget[0] -= 1 << m
-    half = m // 2
-    low, high = _subset_ors(level.covers[:half]), _subset_ors(level.covers[half:])
-    out = []
-    for mask in range(1 << m):
-        if low[mask & (1 << half) - 1] | high[mask >> half] != need:
-            continue
-        chosen = [i for i in range(m) if mask >> i & 1]
-        twice = once = 0
-        for i in chosen:
-            twice |= once & level.covers[i]
-            once |= level.covers[i]
-        # irredundant: every chosen term covers a point no other one covers
-        if all(level.covers[i] & ~twice for i in chosen):
-            out.append(tuple(chosen))
-    return out
-
-
-def dead_end_dnfs(f: KFunction, pool: ReducedDnf, cap: int = SUBSET_CAP) -> list[Dnf]:
+def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
     """Every subset of the pool that realizes f and loses realization when any
     single term is removed; exhaustive, canonically ordered.
 
-    Raises CapacityError past the visited-subset cap instead of truncating.
+    Such a subset takes one irredundant cover per level: the essential
+    columns (see _root) and a minimal transversal of the rows they leave.  An
+    essential column holds a point alone, so it is in every cover and keeps
+    that point.  Any other chosen column needs a point that no other chosen
+    column covers, and no essential: a row with it as its only chosen column.
+    A column in no row is in no dead end.  The transversals come from MMCS
+    (Murakami and Uno, "Efficient algorithms for dualizing large-scale
+    hypergraphs", Discrete Appl. Math. 2014): a node branches on its uncovered
+    row with the fewest candidates, each later sibling takes the earlier ones'
+    columns back, and a child lives only if each earlier choice keeps a private
+    row.  SUBSET_CAP bounds the call in work units: _root's, one per node, per
+    row a node scans and per column it branches on, and one per term of each
+    DNF of the product over levels, before any is built (a level's own share
+    as its covers are found, so refusals come early).
     """
     inst = cover_instance(f, pool)
-    budget = [cap]
-    per_level = [_irredundant_covers(level, budget) for level in inst.levels]
-    combos = math.prod(len(options) for options in per_level)
-    if combos > cap:
-        raise CapacityError(f"{combos} dead-end combinations exceed the cap {cap}")
-    results = []
-    for choice in itertools.product(*per_level):
-        terms = [level.candidates[i] for level, chosen in zip(inst.levels, choice) for i in chosen]
-        results.append(Dnf(f.k, f.n, tuple(sorted(terms, key=ElementaryConjunction.sort_key))))
+    budget = [SUBSET_CAP]
+
+    def spend(units: int) -> None:
+        budget[0] -= units
+        if budget[0] < 0:
+            raise CapacityError(f"level {level.gamma}: dead-end enumeration exceeded the work cap {SUBSET_CAP}")
+
+    per_level = []  # each level's irredundant covers, as lists of terms
+    for level in inst.levels:
+        taken, rows = _root(level, level.candidates, level.covers, spend)
+        cols = _index(rows, len(level.candidates))
+        found = []
+        # chosen and candidate columns, uncovered rows, rows the chosen cover once
+        stack = [(0, functools.reduce(operator.or_, rows, 0), (1 << len(rows)) - 1, 0)]
+        while stack:
+            chosen, cand, free, once = stack.pop()
+            spend(1)
+            if not free:
+                found.append(taken | chosen)
+                spend(found[-1].bit_count())  # its terms, paid ahead of the product
+                continue
+            branch = min((rows[r] & cand for r in _set_bits(free)), key=int.bit_count)
+            spend(free.bit_count() + branch.bit_count())
+            cand &= ~branch
+            for c in _set_bits(branch):
+                lost = once & cols[c]  # private rows of earlier choices that c covers too
+                alone = once ^ lost | free & cols[c]
+                while lost and cols[(rows[(lost & -lost).bit_length() - 1] & chosen).bit_length() - 1] & alone:
+                    lost &= lost - 1  # that row's owner keeps another one
+                if not lost:
+                    stack.append((chosen | 1 << c, cand, free & ~cols[c], alone))
+                cand |= 1 << c
+        per_level.append([[level.candidates[i] for i in _set_bits(cover)] for cover in found])
+    combos = math.prod(map(len, per_level))
+    # each of a level's covers is in combos // len(covers) DNFs, one of them paid for
+    shares = [(combos // len(covers), sum(map(len, covers))) for covers in per_level]
+    if sum((share - 1) * size for share, size in shares) > budget[0]:
+        terms = sum(share * size for share, size in shares)
+        raise CapacityError(f"{combos} dead-end DNFs of {terms} terms in all exceed the cap {SUBSET_CAP}")
+    results = [Dnf(f.k, f.n, tuple(sorted(itertools.chain(*choice), key=ElementaryConjunction.sort_key)))
+               for choice in itertools.product(*per_level)]
     results.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
     return results
 
@@ -263,11 +310,8 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
 
     Each step below keeps the optimum:
 
-    - A point with one holder makes the holder essential.  Holder counts are
-      added bit-sliced into binary planes, so these points are planes[0]
-      minus the higher planes, found without visiting a point.
-    - The rows are the distinct holder sets (column bitsets) of the points
-      still uncovered.  A row holding another row's holders is covered
+    - _root takes the essential columns, the holders of points with one
+      holder, and the rows.  A row holding another row's holders is covered
       whenever that one is, so it is dropped.
     - Column i is dropped when an allowed column j covers all of its rows,
       costs no more on both objectives, and has a smaller key (j > i).  In a
@@ -319,35 +363,9 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     def indices(columns: int) -> tuple[int, ...]:
         return tuple(sorted(order[c] for c in _set_bits(columns)))
 
-    spend(1)
-    planes: list[int] = []  # planes[j]: points whose holder count has bit j set
-    for c in covers:
-        for j, plane in enumerate(planes):
-            if not c:
-                break
-            planes[j], c = plane ^ c, plane & c
-        if c:
-            planes.append(c)
-    once = planes[0] & ~functools.reduce(operator.or_, planes[1:], 0)
-    taken = sum(1 << c for c, cover in enumerate(covers) if cover & once)
-    free = level.level_bits
-    for c in _set_bits(taken):
-        free &= ~covers[c]
-    if not free:
+    taken, rows = _root(level, terms, covers, spend)
+    if not rows:
         return indices(taken)
-
-    k, n = level.k, level.n
-    points = _set_bits(free)
-    spend(len(points))
-    masks = [t.interval.mask_key() for t in reversed(terms)]
-    # holds[j][x]: the columns whose factor j holds x, highest first as a binary numeral
-    holds = [[int("".join("01"[mk[j] >> x & 1] for mk in masks), 2) for x in range(k)] for j in range(n)]
-    rows = set()
-    for b in points:
-        held = -1
-        for j, x in enumerate(decode_point(b, k, n)):
-            held &= holds[j][x]
-        rows.add(held)
 
     # columns by cost, as bitsets: primary[v] and secondary[v] cost v on that
     # objective (keys ascending); joint is the ascending list of (primary,
@@ -377,14 +395,6 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
                 out |= 1 << i
         return out
 
-    def index(rows: list[int]) -> list[int]:
-        """cols[c]: the positions in rows of the rows that column c covers."""
-        cols = [0] * len(terms)
-        for r, h in enumerate(rows):
-            for c in _set_bits(h):
-                cols[c] |= 1 << r
-        return cols
-
     alive = functools.reduce(operator.or_, rows)
     while True:  # reduce to the cyclic core
         spend(sum(map(int.bit_count, rows)))
@@ -396,12 +406,12 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
             continue
         # a row's strict supersets are the other rows holding each of its columns
         ordered = sorted(rows, key=int.bit_count)
-        cols = index(ordered)
+        cols = _index(ordered, len(terms))
         supersets = 0
         for r, h in enumerate(ordered):
             supersets |= functools.reduce(operator.and_, (cols[c] for c in _set_bits(h))) & ~(1 << r)
         kept = [h for r, h in enumerate(ordered) if not supersets >> r & 1]  # fewest holders first
-        cols = index(kept)
+        cols = _index(kept, len(terms))
         every = (1 << len(kept)) - 1
         idle = sum(1 << c for c in _set_bits(alive) if not cols[c])
         drop = idle | dominated(alive & ~idle, every, alive)

@@ -124,6 +124,38 @@ class TestDeadend:
         assert out == "# dead-end dnfs: 1\n# 1\nTRUE->1\n"
         assert seconds < 2.0
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_parity_has_the_reduced_dnf_as_its_one_dead_end(self, capsys, tmp_path, n):
+        # every term is essential, though the level has 2**(n-1) candidates
+        path = tmp_path / "parity.kfn"
+        path.write_text(print_function(KFunction.from_table(2, n, [bin(p).count("1") % 2 for p in range(2**n)])))
+        code, reduced, _ = run(capsys, "reduce", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "deadend", str(path))
+        assert code == 0
+        assert out == "# dead-end dnfs: 1\n# 1\n" + reduced
+
+    @pytest.mark.parametrize("k, n, label", [(2, 8, "2:8:0"), (2, 8, "2:8:1"), (4, 3, "4:3:0"), (4, 3, "4:3:2")])
+    def test_dense_random_answers_or_refuses_in_bounded_time(self, capsys, tmp_path, k, n, label):
+        # the budget counts search nodes, scanned rows and the terms of the
+        # DNFs to be built, so the call ends soon either way
+        rng = random.Random(label)
+        f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+        path = tmp_path / "dense.kfn"
+        path.write_text(print_function(f))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "deadend", str(path))
+        assert time.perf_counter() - start < 3.0
+        if code == 0:
+            lines = out.splitlines()
+            assert lines[0].startswith("# dead-end dnfs: ") and lines[1] == "# 1"
+            end = next((i for i, line in enumerate(lines[2:], 2) if line.startswith("# ")), len(lines))
+            d = parse_dnf(f"k={k} n={n}\n" + "\n".join(lines[2:end]) + "\n")
+            assert functions_equal(d.as_function(), f)
+        else:
+            assert code == 3
+            assert "dead-end" in err and "cap 1000000" in err
+
 
 class TestAbsorb:
     def test_yes(self, capsys, tmp_path):

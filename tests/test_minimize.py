@@ -3,9 +3,11 @@ import itertools
 import math
 import operator
 import random
+from collections.abc import Sequence
 
 import pytest
 
+import kdnf.minimize
 from kdnf import (
     METRIC_RANK,
     METRIC_TERMS,
@@ -24,10 +26,11 @@ from kdnf import (
     functions_equal,
     minimize_dnf,
     reduced_dnf,
+    star_order,
     total_order,
 )
 from kdnf.core import decode_point, encode_point
-from kdnf.minimize import SUBSET_CAP, _best_cover, _term_cost
+from kdnf.minimize import SUBSET_CAP, LevelCover, _best_cover, _term_cost
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
 from kdnf.textio import print_dnf
@@ -156,6 +159,62 @@ class TestAbsorbsZeroFree:
                 assert any(w.value_at(p) == w.gamma for w in wide)
 
 
+# The scan that dead_end_dnfs replaced: every subset of a level's candidates,
+# its union looked up in two tables of half-subset unions, refused up front
+# once 2**m passes the cap.  It is kept as the reference for exactness; the
+# two helpers are the ones it had, and reference_dead_end_dnfs is its
+# dead_end_dnfs.
+def _subset_ors(covers: Sequence[int]) -> list[int]:
+    """OR of the covers in every subset, indexed by the subset's bitmask."""
+    table = [0]
+    for c in covers:
+        table += [x | c for x in table]
+    return table
+
+
+def _irredundant_covers(level: LevelCover, budget: list[int]) -> list[tuple[int, ...]]:
+    """All irredundant covering candidate subsets of one level, exhaustively.
+
+    The union of a subset is looked up in two tables of 2**(m/2) unions, one
+    per half of the candidates, so only covering subsets cost more.
+    """
+    m = len(level.candidates)
+    need = level.level_bits
+    if 1 << m > budget[0]:
+        raise CapacityError(f"level {level.gamma}: 2**{m} subsets exceed the enumeration cap")
+    budget[0] -= 1 << m
+    half = m // 2
+    low, high = _subset_ors(level.covers[:half]), _subset_ors(level.covers[half:])
+    out = []
+    for mask in range(1 << m):
+        if low[mask & (1 << half) - 1] | high[mask >> half] != need:
+            continue
+        chosen = [i for i in range(m) if mask >> i & 1]
+        twice = once = 0
+        for i in chosen:
+            twice |= once & level.covers[i]
+            once |= level.covers[i]
+        # irredundant: every chosen term covers a point no other one covers
+        if all(level.covers[i] & ~twice for i in chosen):
+            out.append(tuple(chosen))
+    return out
+
+
+def reference_dead_end_dnfs(f: KFunction, pool: ReducedDnf, cap: int = SUBSET_CAP) -> list[Dnf]:
+    inst = cover_instance(f, pool)
+    budget = [cap]
+    per_level = [_irredundant_covers(level, budget) for level in inst.levels]
+    combos = math.prod(len(options) for options in per_level)
+    if combos > cap:
+        raise CapacityError(f"{combos} dead-end combinations exceed the cap {cap}")
+    results = []
+    for choice in itertools.product(*per_level):
+        terms = [level.candidates[i] for level, chosen in zip(inst.levels, choice) for i in chosen]
+        results.append(Dnf(f.k, f.n, tuple(sorted(terms, key=ElementaryConjunction.sort_key))))
+    results.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
+    return results
+
+
 class TestDeadEnds:
     def test_single_interval_per_level(self):
         f = KFunction.from_table(3, 1, (0, 1, 2))
@@ -234,9 +293,47 @@ class TestDeadEnds:
         with pytest.raises(ValueError):
             dead_end_dnfs(other, reduced_dnf(star_example))
 
-    def test_enumeration_cap(self, star_example):
-        with pytest.raises(CapacityError):
-            dead_end_dnfs(star_example, reduced_dnf(star_example), cap=2)
+    def test_enumeration_cap(self, monkeypatch):
+        # both levels need a search past their essentials: 2 and 5 covers,
+        # so 10 dead ends of 46 terms in all
+        rng = random.Random(5)
+        f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+        pool = reduced_dnf(f)
+        assert len(dead_end_dnfs(f, pool)) == 10
+        monkeypatch.setattr(kdnf.minimize, "SUBSET_CAP", 10)
+        with pytest.raises(CapacityError, match="level 1: dead-end enumeration exceeded the work cap 10"):
+            dead_end_dnfs(f, pool)
+        # the enumeration fits, the product's terms do not
+        monkeypatch.setattr(kdnf.minimize, "SUBSET_CAP", 100)
+        with pytest.raises(CapacityError, match="10 dead-end DNFs of 46 terms in all exceed the cap 100"):
+            dead_end_dnfs(f, pool)
+
+    def test_matches_the_reference_scan(self):
+        # every k=3 n=2 chain- and star-monotone function and 216 seeded
+        # random tables; where the scan refuses up front, each answer is
+        # checked to be distinct, to realize f and to have no redundant term
+        functions = [*iter_monotone_functions(2, 3, total_order(3)), *iter_monotone_functions(2, 3, star_order(3))]
+        shapes = [(2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2)]
+        for i in range(216):
+            k, n = shapes[i % len(shapes)]
+            rng = random.Random(f"deadend:{i}")
+            functions.append(KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)]))
+        compared = 0
+        for f in functions:
+            pool = reduced_dnf(f)
+            try:
+                expected = reference_dead_end_dnfs(f, pool)
+            except CapacityError:
+                ends = dead_end_dnfs(f, pool)
+                assert len({d.terms for d in ends}) == len(ends)
+                for d in ends:  # cover_instance raises unless d realizes f
+                    for level in cover_instance(f, ReducedDnf(d, pool.levels)).levels:
+                        for i, c in enumerate(level.covers):
+                            assert c & ~functools.reduce(operator.or_, level.covers[:i] + level.covers[i + 1:], 0)
+                continue
+            assert dead_end_dnfs(f, pool) == expected
+            compared += 1
+        assert compared >= 500
 
 
 class TestMinimize:
