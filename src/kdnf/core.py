@@ -1,7 +1,8 @@
 """Core types for k-valued logic functions over the lattice {0..k-1}^n.
 
-A value set is a subset of the alphabet {0, ..., k-1} stored as a bitmask.
-An interval is a Cartesian product of nonempty value sets, one per variable;
+A value set is a subset of the alphabet {0, ..., k-1} held as a plain int
+bitmask, bit v set when v is in the set (mask_values lists it).  An interval
+is a Cartesian product of nonempty value sets, one per variable;
 its point set is a sublattice of the full lattice.  An elementary conjunction
 pairs an interval with an output level gamma >= 1 and evaluates to gamma
 exactly on the interval, 0 elsewhere.  A DNF is a list of conjunctions
@@ -88,57 +89,20 @@ def all_points(k: int, n: int) -> Iterator[Point]:
     return itertools.product(range(k), repeat=n)
 
 
-@dataclass(frozen=True, slots=True)
-class ValueSet:
-    """Subset of the alphabet, characteristic-bitmask representation."""
-
-    mask: int = 0
-
-    @classmethod
-    def of(cls, *values: int) -> "ValueSet":
-        m = 0
-        for v in values:
-            if v < 0:
-                raise ValueError(f"negative logic value {v}")
-            m |= 1 << v
-        return cls(m)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[int]) -> "ValueSet":
-        return cls.of(*values)
-
-    @classmethod
-    def full(cls, k: int) -> "ValueSet":
-        return cls((1 << k) - 1)
-
-    def __contains__(self, v: int) -> bool:
-        return v >= 0 and self.mask >> v & 1 == 1
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.mask.bit_length()) if self.mask >> v & 1)
-
-    def is_full(self, k: int) -> bool:
-        return self.mask == (1 << k) - 1
-
-    def is_subset_of(self, other: "ValueSet") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def disjoint_from(self, other: "ValueSet") -> bool:
-        return self.mask & other.mask == 0
+def mask_values(mask: int) -> tuple[int, ...]:
+    """The values of a value-set bitmask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 @dataclass(frozen=True, slots=True)
 class Interval:
-    """Cartesian product of nonempty value sets; a sublattice of {0..k-1}^n."""
+    """Cartesian product of nonempty value sets; a sublattice of {0..k-1}^n.
+
+    factors[j] is the bitmask of the values allowed for variable j + 1.
+    """
 
     k: int
-    factors: tuple[ValueSet, ...]
+    factors: tuple[int, ...]
 
     def __post_init__(self) -> None:
         check_alphabet(self.k)
@@ -146,22 +110,28 @@ class Interval:
             raise ValueError("interval needs at least one factor")
         top = 1 << self.k
         for j, f in enumerate(self.factors):
-            if f.mask == 0:
-                raise ValueError(f"factor {j + 1} is empty")
-            if f.mask >= top:
-                raise ValueError(f"factor {j + 1} has values outside the alphabet")
+            if not 0 < f < top:
+                raise ValueError(f"factor {j + 1} mask {f} is not a nonempty subset of the alphabet")
 
     @classmethod
     def from_values(cls, k: int, *factors: Iterable[int]) -> "Interval":
-        return cls(k, tuple(ValueSet.from_iterable(f) for f in factors))
+        masks = []
+        for f in factors:
+            m = 0
+            for v in f:
+                if v < 0:
+                    raise ValueError(f"negative logic value {v}")
+                m |= 1 << v
+            masks.append(m)
+        return cls(k, tuple(masks))
 
     @classmethod
     def full(cls, k: int, n: int) -> "Interval":
-        return cls(k, (ValueSet.full(k),) * n)
+        return cls(k, ((1 << k) - 1,) * n)
 
     @classmethod
     def singleton(cls, k: int, p: Point) -> "Interval":
-        return cls(k, tuple(ValueSet.of(x) for x in p))
+        return cls.from_values(k, *((x,) for x in p))
 
     @property
     def n(self) -> int:
@@ -170,26 +140,23 @@ class Interval:
     def size(self) -> int:
         s = 1
         for f in self.factors:
-            s *= len(f)
+            s *= f.bit_count()
         return s
-
-    def mask_key(self) -> tuple[int, ...]:
-        return tuple(f.mask for f in self.factors)
 
     def contains_point(self, p: Point) -> bool:
         if len(p) != self.n:
             raise ValueError(f"point dimension {len(p)} != interval dimension {self.n}")
-        return all(x in f for x, f in zip(p, self.factors))
+        return all(x >= 0 and f >> x & 1 for x, f in zip(p, self.factors))
 
     def contains(self, other: "Interval") -> bool:
         """Point-set containment; factor-wise since factors are nonempty."""
         if other.k != self.k or other.n != self.n:
             raise ValueError("interval shape mismatch")
-        return all(g.is_subset_of(f) for f, g in zip(self.factors, other.factors))
+        return all(g & ~f == 0 for f, g in zip(self.factors, other.factors))
 
     def points(self) -> list[Point]:
         """Full point set, lexicographically ordered."""
-        return [tuple(p) for p in itertools.product(*(f.values() for f in self.factors))]
+        return list(itertools.product(*map(mask_values, self.factors)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,10 +181,10 @@ class ElementaryConjunction:
     @property
     def rank(self) -> int:
         """k*n minus the total factor size; 0 for the full interval."""
-        return self.k * self.n - sum(len(f) for f in self.interval.factors)
+        return self.k * self.n - sum(f.bit_count() for f in self.interval.factors)
 
     def sort_key(self) -> tuple:
-        return (self.gamma, self.interval.mask_key())
+        return (self.gamma, self.interval.factors)
 
     def value_at(self, p: Point) -> int:
         return self.gamma if self.interval.contains_point(p) else 0
@@ -226,14 +193,12 @@ class ElementaryConjunction:
         """True when the intervals are disjoint, witnessed by one variable."""
         if other.k != self.k or other.n != self.n:
             raise ValueError("conjunction shape mismatch")
-        return any(
-            f.disjoint_from(g)
-            for f, g in zip(self.interval.factors, other.interval.factors)
-        )
+        return any(f & g == 0 for f, g in zip(self.interval.factors, other.interval.factors))
 
     def support(self) -> tuple[int, ...]:
         """0-based positions of the non-full factors (the variables it depends on)."""
-        return tuple(j for j, f in enumerate(self.interval.factors) if not f.is_full(self.k))
+        full = (1 << self.k) - 1
+        return tuple(j for j, f in enumerate(self.interval.factors) if f != full)
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,6 +45,7 @@ from .core import (
     KFunction,
     Point,
     decode_point,
+    mask_values,
 )
 from .reduce import ReducedDnf, _bits_where, _interval_bits, _set_bits, reduced_dnf
 
@@ -70,13 +71,14 @@ def absorption_witness(d: Dnf, ec: ElementaryConjunction) -> Point | None:
     reach = 0
     for t in d.terms:
         if t.gamma >= ec.gamma:
-            reach |= _interval_bits(d.k, t.interval.mask_key())
-    missing = _interval_bits(d.k, ec.interval.mask_key()) & ~reach
+            reach |= _interval_bits(d.k, t.interval.factors)
+    missing = _interval_bits(d.k, ec.interval.factors) & ~reach
     return decode_point((missing & -missing).bit_length() - 1, d.k, d.n) if missing else None
 
 
 def _is_zero_free(ec: ElementaryConjunction) -> bool:
-    return all(0 not in f for f in ec.interval.factors if not f.is_full(ec.k))
+    full = (1 << ec.k) - 1
+    return all(f == full or not f & 1 for f in ec.interval.factors)
 
 
 def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConjunction) -> bool:
@@ -108,10 +110,10 @@ def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConj
     support = ec.support()
     pos = frozenset(support)
     relevant = [t for t in terms if set(t.support()) <= pos]
-    axes = [ec.interval.factors[j].values() for j in support]
+    axes = [mask_values(ec.interval.factors[j]) for j in support]
     for combo in itertools.product(*axes):
         if not any(
-            all(x in t.interval.factors[j] for x, j in zip(combo, support))
+            all(t.interval.factors[j] >> x & 1 for x, j in zip(combo, support))
             for t in relevant
         ):
             return False
@@ -165,7 +167,7 @@ def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
     by_level: list[list[tuple[ElementaryConjunction, int]]] = [[] for _ in range(k)]
     for t in pool.dnf.terms:
         bits = known.get(id(t))
-        by_level[t.gamma].append((t, _interval_bits(k, t.interval.mask_key()) if bits is None else bits))
+        by_level[t.gamma].append((t, _interval_bits(k, t.interval.factors) if bits is None else bits))
     reach = 0
     at_least = [0] * (k + 1)  # at_least[gamma]: bitset of {p : f(p) >= gamma}
     for gamma in range(k - 1, 0, -1):
@@ -213,7 +215,7 @@ def _root(level: LevelCover, terms: Sequence, covers: Sequence, spend: Callable[
         return taken, []
     spend(free.bit_count())
     k, n = level.k, level.n
-    masks = [t.interval.mask_key() for t in reversed(terms)]
+    masks = [t.interval.factors for t in reversed(terms)]
     # holds[j][x]: the columns whose factor j holds x, highest first as a binary
     # numeral; a point's holders are the AND over j of holds[j][x_j]
     holds = [[int("".join("01"[mk[j] >> x & 1] for mk in masks), 2) for x in range(k)] for j in range(n)]

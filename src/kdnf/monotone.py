@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .core import CapacityError, KFunction, Point, check_alphabet, check_shape, decode_point
+from .core import CapacityError, KFunction, Point, check_alphabet, check_shape, decode_point, encode_point
 from .minimize import dead_end_dnfs
 from .reduce import ReducedDnf, reduced_dnf
 
@@ -233,8 +233,8 @@ class ChainShapeReport:
 
 
 def _is_upper_interval(mask: int, k: int) -> bool:
-    values = [v for v in range(k) if mask >> v & 1]
-    return values == list(range(values[0], k))
+    """True when the mask is [a, k-1], a its lowest value."""
+    return (mask | (mask & -mask) - 1) == (1 << k) - 1
 
 
 def chain_shape_report(f: KFunction) -> ChainShapeReport:
@@ -243,26 +243,25 @@ def chain_shape_report(f: KFunction) -> ChainShapeReport:
         raise ValueError("function is not monotone under the chain order")
     pool = reduced_dnf(f)
     factors_upper = all(
-        _is_upper_interval(fac.mask, f.k)
+        _is_upper_interval(fac, f.k)
         for t in pool.dnf.terms
         for fac in t.interval.factors
     )
     ends = dead_end_dnfs(f, pool)
-    cores = tuple(
-        tuple(min(fac.values()) for fac in t.interval.factors) for t in pool.dnf.terms
-    )
-    exclusive = all(
-        not any(
-            other is not t and other.gamma == t.gamma and other.value_at(core) == t.gamma
-            for other in pool.dnf.terms
-        )
-        for t, core in zip(pool.dnf.terms, cores)
-    )
+    # a core is the lowest value of each factor; it is exclusive when it lies
+    # in one term bitset of its level, the term's own
+    cores, exclusive = [], True
+    for lt in pool.levels:
+        for t in lt.terms:
+            core = tuple((fac & -fac).bit_length() - 1 for fac in t.interval.factors)
+            cores.append(core)
+            i = encode_point(core, f.k)
+            exclusive = exclusive and sum(bits >> i & 1 for bits in lt.term_bits) == 1
     return ChainShapeReport(
         reduced=pool,
         factors_upper=factors_upper,
         dead_end_count=len(ends),
         dead_end_equals_reduced=len(ends) == 1 and ends[0] == pool.dnf.canonical(),
-        core_points=cores,
+        core_points=tuple(cores),
         cores_exclusive=exclusive,
     )

@@ -18,7 +18,6 @@ from .core import (
     ElementaryConjunction,
     Interval,
     KFunction,
-    ValueSet,
     all_points,
 )
 from .minimize import METRIC_RANK, METRIC_TERMS, MinimizationResult
@@ -38,7 +37,7 @@ def oracle_maximal_intervals(carrier: CarrierSet) -> list[Interval]:
     masks = range(1, 1 << k)
     inside = []
     for combo in itertools.product(masks, repeat=n):
-        iv = Interval(k, tuple(ValueSet(m) for m in combo))
+        iv = Interval(k, combo)
         if all(p in carrier.points for p in iv.points()):
             inside.append(iv)
     maximal = [
@@ -46,7 +45,7 @@ def oracle_maximal_intervals(carrier: CarrierSet) -> list[Interval]:
         for iv in inside
         if not any(other != iv and other.contains(iv) for other in inside)
     ]
-    maximal.sort(key=Interval.mask_key)
+    maximal.sort(key=lambda iv: iv.factors)
     return maximal
 
 

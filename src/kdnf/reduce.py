@@ -33,7 +33,6 @@ from .core import (
     KFunction,
     PartialKFunction,
     Point,
-    ValueSet,
     check_shape,
     decode_point,
     encode_point,
@@ -164,7 +163,7 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
 def maximal_intervals(carrier: CarrierSet) -> list[Interval]:
     """All maximal intervals inside the carrier, canonically ordered."""
     found = _maximal(carrier.k, carrier.bits, carrier.n, {}, [REDUCE_CAP])
-    return [Interval(carrier.k, tuple(map(ValueSet, ms))) for ms in sorted(ms for _, ms in found)]
+    return [Interval(carrier.k, ms) for ms in sorted(ms for _, ms in found)]
 
 
 def _bits_where(table: bytes, values) -> int:
@@ -197,7 +196,7 @@ def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
         level = _bits_where(table, (gamma,))
         found = sorted(_maximal(k, carrier, n, memo, budget), key=lambda f: f[1])
         found = [(bits, masks) for bits, masks in found if bits & level]
-        terms = tuple(ElementaryConjunction(Interval(k, tuple(map(ValueSet, masks))), gamma) for _, masks in found)
+        terms = tuple(ElementaryConjunction(Interval(k, masks), gamma) for _, masks in found)
         levels.append(LevelTerms(k, n, gamma, level, carrier, terms, tuple(bits for bits, _ in found)))
     return ReducedDnf(Dnf(k, n, tuple(t for lt in levels for t in lt.terms)), tuple(levels))
 

@@ -29,8 +29,8 @@ from .core import (
     KFunction,
     PartialKFunction,
     Point,
-    ValueSet,
     all_points,
+    mask_values,
 )
 
 _HEADER_RE = re.compile(
@@ -118,10 +118,11 @@ def print_function(func: KFunction | PartialKFunction) -> str:
 
 
 def format_term(ec: ElementaryConjunction) -> str:
+    full = (1 << ec.k) - 1
     parts = [
-        f"J{{{','.join(map(str, f.values()))}}}(x{j + 1})"
+        f"J{{{','.join(map(str, mask_values(f)))}}}(x{j + 1})"
         for j, f in enumerate(ec.interval.factors)
-        if not f.is_full(ec.k)
+        if f != full
     ]
     head = "*".join(parts) if parts else "TRUE"
     return f"{head}->{ec.gamma}"
@@ -146,7 +147,7 @@ def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunc
         raise ParseError(line_no, "gamma must be an integer") from None
     if not 1 <= gamma <= k - 1:
         raise ParseError(line_no, f"gamma {gamma} outside [1, {k - 1}]")
-    factors = [ValueSet.full(k)] * n
+    factors = [(1 << k) - 1] * n
     head = head.strip()
     if head != "TRUE":
         seen: set[int] = set()
@@ -163,7 +164,7 @@ def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunc
             seen.add(var)
             if any(not 0 <= v < k for v in values):
                 raise ParseError(line_no, "factor value >= k")
-            factors[var - 1] = ValueSet.from_iterable(values)
+            factors[var - 1] = sum(1 << v for v in set(values))
     return ElementaryConjunction(Interval(k, tuple(factors)), gamma)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from kdnf import Dnf, ElementaryConjunction, Interval, KFunction, ValueSet
+from kdnf import Dnf, ElementaryConjunction, Interval, KFunction
 
 settings.register_profile(
     "fixed",
@@ -25,10 +25,8 @@ def star_example() -> KFunction:
 
 def ec(k: int, gamma: int, *factors) -> ElementaryConjunction:
     """Shorthand: factors as value iterables, None meaning the full set."""
-    vs = tuple(
-        ValueSet.full(k) if f is None else ValueSet.from_iterable(f) for f in factors
-    )
-    return ElementaryConjunction(Interval(k, vs), gamma)
+    iv = Interval.from_values(k, *(range(k) if f is None else f for f in factors))
+    return ElementaryConjunction(iv, gamma)
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +58,7 @@ def point_strategy(k: int, n: int):
 
 
 def factor_strategy(k: int):
-    return st.integers(1, (1 << k) - 1).map(ValueSet)
+    return st.integers(1, (1 << k) - 1)
 
 
 @st.composite

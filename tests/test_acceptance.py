@@ -31,6 +31,7 @@ from kdnf import (
     total_order,
 )
 from kdnf.cli import main
+from kdnf.core import mask_values
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_maximal_intervals, oracle_minimize
 from kdnf.textio import print_function
@@ -105,7 +106,7 @@ def test_criterion_3_chain_monotone_sweep():
             pool = reduced_dnf(f)
             for t in pool.dnf.terms:
                 for factor in t.interval.factors:
-                    values = factor.values()
+                    values = mask_values(factor)
                     assert values == tuple(range(values[0], 3))
             ends = dead_end_dnfs(f, pool)
             assert len(ends) == 1

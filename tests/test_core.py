@@ -10,7 +10,6 @@ from kdnf import (
     Interval,
     KFunction,
     PartialKFunction,
-    ValueSet,
     functions_equal,
 )
 from kdnf.core import decode_point, encode_point
@@ -48,12 +47,16 @@ class TestConjunctionEval:
         with pytest.raises(ValueError):
             ec(3, 1, [1], [2]).value_at((1,))
 
+    def test_negative_coordinate_is_outside_every_interval(self):
+        assert ec(3, 2, None).value_at((-1,)) == 0
+        assert not Interval.full(3, 2).contains_point((1, -1))
+
     @given(conjunction_and_point())
     def test_matches_min_formula(self, arg):
         # definition as a literal min over the elementary formulas and gamma
         term, p = arg
         expected = min(
-            min(term.k - 1 if x in f else 0 for f, x in zip(term.interval.factors, p)),
+            min(term.k - 1 if f >> x & 1 else 0 for f, x in zip(term.interval.factors, p)),
             term.gamma,
         )
         assert term.value_at(p) == expected
@@ -106,8 +109,8 @@ class TestRank:
         term, _ = arg
         k, n = term.k, term.n
         assert 0 <= term.rank <= n * (k - 1)
-        full = all(f.is_full(k) for f in term.interval.factors)
-        singles = all(len(f) == 1 for f in term.interval.factors)
+        full = all(f == (1 << k) - 1 for f in term.interval.factors)
+        singles = all(f.bit_count() == 1 for f in term.interval.factors)
         assert (term.rank == 0) == full
         assert (term.rank == n * (k - 1)) == singles
 
@@ -154,7 +157,7 @@ class TestOrthogonal:
         # every pair of intervals: the factor-wise test == point-set disjointness
         masks = range(1, 1 << k)
         ivs = [
-            Interval(k, tuple(ValueSet(m) for m in combo))
+            Interval(k, combo)
             for combo in itertools.product(masks, repeat=n)
         ]
         point_sets = [frozenset(u.points()) for u in ivs]
@@ -195,7 +198,17 @@ class TestValidation:
 
     def test_empty_factor_rejected(self):
         with pytest.raises(ValueError):
-            Interval(3, (ValueSet(0),))
+            Interval(3, (0,))
+
+    @pytest.mark.parametrize("factors", [(-1, 2), (2, -1), (1 << 3,), (2, 0b1001)])
+    def test_factor_mask_outside_the_alphabet_rejected(self, factors):
+        with pytest.raises(ValueError):
+            Interval(3, factors)
+
+    @pytest.mark.parametrize("values", [[-1], [0, -2], [3]])
+    def test_from_values_rejects_values_outside_the_alphabet(self, values):
+        with pytest.raises(ValueError):
+            Interval.from_values(3, [1], values)
 
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):

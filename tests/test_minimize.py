@@ -17,7 +17,6 @@ from kdnf import (
     Interval,
     KFunction,
     ReducedDnf,
-    ValueSet,
     absorbs,
     absorbs_zero_free,
     absorption_witness,
@@ -63,7 +62,7 @@ class TestAbsorbs:
         rng = random.Random(31 * k + n)
 
         def term(gamma):
-            factors = [ValueSet(rng.randrange(1, 1 << k)) for _ in range(n)]
+            factors = [rng.randrange(1, 1 << k) for _ in range(n)]
             return ElementaryConjunction(Interval(k, tuple(factors)), gamma)
 
         for trial in range(120):
@@ -80,8 +79,8 @@ class TestAbsorbs:
 
 def widen_nonzero(t: ElementaryConjunction) -> ElementaryConjunction:
     """Every non-full factor of a zero-free term widened to {1..k-1}."""
-    nonzero = ValueSet.from_iterable(range(1, t.k))
-    factors = tuple(f if f.is_full(t.k) else nonzero for f in t.interval.factors)
+    full = (1 << t.k) - 1
+    factors = tuple(f if f == full else full - 1 for f in t.interval.factors)
     return ElementaryConjunction(Interval(t.k, factors), t.gamma)
 
 
@@ -444,7 +443,7 @@ def reference_best_cover(level, metric: str, budget: list[int]) -> tuple[int, ..
         for c in (*level.covers, level.level_bits)
     )
     k, n = level.k, level.n
-    masks = [t.interval.mask_key() for t in reversed(level.candidates)]
+    masks = [t.interval.factors for t in reversed(level.candidates)]
     # holds[j][x]: the candidates whose factor j holds x, highest first as a binary numeral
     holds = [[int("".join("01"[m[j] >> x & 1] for m in masks), 2) for x in range(k)] for j in range(n)]
 
@@ -626,7 +625,7 @@ class TestRemoveStep:
         # the middle term (x1=1, x2 in {1,2}, x3=1) is covered by the others
         index = next(
             i for i, t in enumerate(pool.terms)
-            if t.interval.mask_key() == (0b010, 0b110, 0b010)
+            if t.interval.factors == (0b010, 0b110, 0b010)
         )
         assert absorbs(pool.without(index), pool.terms[index])
         assert functions_equal(pool.without(index).as_function(), star_example)

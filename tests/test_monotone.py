@@ -19,6 +19,7 @@ from kdnf import (
     star_order,
     total_order,
 )
+from kdnf.monotone import _is_upper_interval
 from kdnf.oracle import oracle_is_monotone
 
 
@@ -99,7 +100,7 @@ class TestChainShapeReport:
         assert report.factors_upper
         assert report.dead_end_count == 1 and report.dead_end_equals_reduced
         rendered = [
-            (t.gamma, t.interval.mask_key()) for t in report.reduced.dnf.terms
+            (t.gamma, t.interval.factors) for t in report.reduced.dnf.terms
         ]
         assert rendered == [(1, (0b110,)), (2, (0b100,))]
         assert report.core_points == ((1,), (2,))
@@ -109,6 +110,13 @@ class TestChainShapeReport:
         report = chain_shape_report(KFunction.from_callable(3, 2, lambda p: min(p)))
         assert report.factors_upper and report.dead_end_equals_reduced
         assert report.cores_exclusive
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_upper_interval_masks(self, k):
+        # the bit test against the definition: values form [min, k-1]
+        for mask in range(1, 1 << k):
+            values = [v for v in range(k) if mask >> v & 1]
+            assert _is_upper_interval(mask, k) == (values == list(range(values[0], k)))
 
     def test_constant_level(self):
         report = chain_shape_report(KFunction.constant(3, 2, 2))

@@ -24,7 +24,7 @@ def test_empty_carrier():
 
 def test_star_example_carrier(star_example):
     got = oracle_maximal_intervals(CarrierSet(3, 3, star_example.support()))
-    keys = {i.mask_key() for i in got}
+    keys = {i.factors for i in got}
     assert (0b111, 0b010, 0b010) in keys  # x2=1, x3=1, x1 free
     assert (0b010, 0b100, 0b110) in keys  # x1=1, x2=2, x3 in {1,2}
     assert len(got) == 3

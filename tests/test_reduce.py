@@ -40,11 +40,11 @@ class TestMaximalIntervals:
     def test_star_example_carrier(self):
         got = maximal_intervals(EXAMPLE_CARRIER)
         expected = {
-            iv(3, [0, 1, 2], [1], [1]).mask_key(),
-            iv(3, [1], [2], [1, 2]).mask_key(),
-            iv(3, [1], [1, 2], [1]).mask_key(),
+            iv(3, [0, 1, 2], [1], [1]).factors,
+            iv(3, [1], [2], [1, 2]).factors,
+            iv(3, [1], [1, 2], [1]).factors,
         }
-        assert {i.mask_key() for i in got} == expected
+        assert {i.factors for i in got} == expected
 
     def test_single_point_carrier(self):
         got = maximal_intervals(carrier(3, 2, [(1, 2)]))
@@ -99,16 +99,16 @@ class TestReducedDnf:
 
     def test_star_example_terms(self, star_example):
         pool = reduced_dnf(star_example)
-        keys = {t.interval.mask_key() for t in pool.dnf.terms}
-        assert keys == {i.mask_key() for i in maximal_intervals(EXAMPLE_CARRIER)}
+        keys = {t.interval.factors for t in pool.dnf.terms}
+        assert keys == {i.factors for i in maximal_intervals(EXAMPLE_CARRIER)}
         assert all(t.gamma == 1 for t in pool.dnf.terms)
         # the two handwritten terms are among them
-        assert iv(3, [0, 1, 2], [1], [1]).mask_key() in keys
-        assert iv(3, [1], [2], [1, 2]).mask_key() in keys
+        assert iv(3, [0, 1, 2], [1], [1]).factors in keys
+        assert iv(3, [1], [2], [1, 2]).factors in keys
 
     def test_identity_function(self):
         pool = reduced_dnf(KFunction.from_table(3, 1, range(3)))
-        rendered = [(t.gamma, t.interval.mask_key()) for t in pool.dnf.terms]
+        rendered = [(t.gamma, t.interval.factors) for t in pool.dnf.terms]
         assert rendered == [(1, (0b110,)), (2, (0b100,))]
 
     def test_realization_exhaustive_k2(self):
@@ -172,7 +172,7 @@ class TestReducedDnfPartial:
     def test_undefined_point_acts_as_dont_care(self):
         func = PartialKFunction(3, 1, {(0,): 0, (2,): 1})
         pool = reduced_dnf_partial(func)
-        assert [(t.gamma, t.interval.mask_key()) for t in pool.dnf.terms] == [(1, (0b110,))]
+        assert [(t.gamma, t.interval.factors) for t in pool.dnf.terms] == [(1, (0b110,))]
 
     def test_overlapping_defined_sets_rejected(self):
         with pytest.raises(ValueError):
