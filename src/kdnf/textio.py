@@ -14,7 +14,8 @@ DNF file:
 Variables are 1-indexed; full factors are omitted when printing and a term
 with no factors prints as "TRUE".  The empty DNF prints as the single line
 "0".  Printing is canonical (sorted terms, sorted body lines) so equal
-objects render byte-identically.
+objects render byte-identically.  Terms print from their factor masks through
+a text cache of (variable, mask) factors that lives for one printing call.
 """
 
 from __future__ import annotations
@@ -57,25 +58,29 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_function(text: str) -> KFunction | PartialKFunction:
-    """Parse a function file into a total or partially defined function."""
-    lines = _content_lines(text)
+def _header(lines: list[tuple[int, str]], pattern: re.Pattern, expected: str) -> tuple[int, re.Match, int, int]:
+    """Line number, match, k and n of a file's checked header line."""
     if not lines:
         raise ParseError(1, "missing header")
     line_no, header = lines[0]
-    m = _HEADER_RE.match(header)
+    m = pattern.match(header)
     if not m:
-        raise ParseError(line_no, "malformed header, expected 'k=K n=N mode=total|partial'")
-    k, n, mode = int(m.group(1)), int(m.group(2)), m.group(3)
-    default = int(m.group(4)) if m.group(4) is not None else None
+        raise ParseError(line_no, f"malformed header, expected '{expected}'")
+    k, n = int(m.group(1)), int(m.group(2))
     if not 2 <= k <= 16:
         raise ParseError(line_no, f"k={k} outside [2, 16]")
     if n < 1:
         raise ParseError(line_no, f"n={n} must be >= 1")
-    if mode == "partial" and default is not None:
+    return line_no, m, k, n
+
+
+def parse_function(text: str) -> KFunction | PartialKFunction:
+    """Parse a function file into a total or partially defined function."""
+    lines = _content_lines(text)
+    line_no, m, k, n = _header(lines, _HEADER_RE, "k=K n=N mode=total|partial")
+    mode, default = m.group(3), int(m.group(4) or 0)
+    if mode == "partial" and m.group(4) is not None:
         raise ParseError(line_no, "default= is only meaningful in total mode")
-    if default is None:
-        default = 0
     if not 0 <= default < k:
         raise ParseError(line_no, f"default value {default} >= k")
 
@@ -117,22 +122,30 @@ def print_function(func: KFunction | PartialKFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _FactorTexts(dict):
+    """Text of each (variable index, mask) factor, empty when full."""
+
+    def __init__(self, k: int):
+        self.full = (1 << k) - 1
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        j, f = key
+        text = self[key] = "" if f == self.full else f"J{{{','.join(map(str, mask_values(f)))}}}(x{j + 1})"
+        return text
+
+    def term(self, ec: ElementaryConjunction) -> str:
+        head = "*".join(filter(None, map(self.__getitem__, enumerate(ec.interval.factors))))
+        return f"{head or 'TRUE'}->{ec.gamma}"
+
+
 def format_term(ec: ElementaryConjunction) -> str:
-    full = (1 << ec.k) - 1
-    parts = [
-        f"J{{{','.join(map(str, mask_values(f)))}}}(x{j + 1})"
-        for j, f in enumerate(ec.interval.factors)
-        if f != full
-    ]
-    head = "*".join(parts) if parts else "TRUE"
-    return f"{head}->{ec.gamma}"
+    return _FactorTexts(ec.k).term(ec)
 
 
 def print_dnf(d: Dnf) -> str:
     """One canonical-order term per line; the empty DNF prints as '0'."""
-    if not d.terms:
-        return "0\n"
-    return "".join(format_term(t) + "\n" for t in d.canonical().terms)
+    texts = _FactorTexts(d.k)
+    return "".join([texts.term(t) + "\n" for t in sorted(d.terms, key=ElementaryConjunction.sort_key)]) or "0\n"
 
 
 def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunction:
@@ -171,17 +184,7 @@ def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunc
 def parse_dnf(text: str) -> Dnf:
     """Parse a DNF file: 'k=K n=N' header, then one term per line."""
     lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "missing header")
-    line_no, header = lines[0]
-    m = _DNF_HEADER_RE.match(header)
-    if not m:
-        raise ParseError(line_no, "malformed header, expected 'k=K n=N'")
-    k, n = int(m.group(1)), int(m.group(2))
-    if not 2 <= k <= 16:
-        raise ParseError(line_no, f"k={k} outside [2, 16]")
-    if n < 1:
-        raise ParseError(line_no, f"n={n} must be >= 1")
+    _, _, k, n = _header(lines, _DNF_HEADER_RE, "k=K n=N")
     terms = []
     for line_no, line in lines[1:]:
         if line == "0":

@@ -250,3 +250,47 @@ class TestReduceWorkCap:
         path.write_text("k=3 n=3 mode=total\n0 1 1 -> 1\n1 1 1 -> 2\n1 2 2 -> 1\n")
         assert main(["reduce", str(path)]) == 3
         assert "reduce stage" in capsys.readouterr().err
+
+
+# (k, n, seed) -> (work units the call uses, terms out), recorded before the
+# emission step was rewritten: the cap refuses at exactly the same inputs
+REDUCE_UNITS = {
+    (2, 10, 0): (10996, 573),
+    (3, 5, 0): (3638, 226),
+    (4, 4, 0): (6945, 430),
+    (2, 12, 3): (81279, 2930),
+    (5, 3, 1): (2635, 193),
+}
+
+
+@pytest.mark.parametrize("k,n,s", sorted(REDUCE_UNITS))
+def test_reduce_work_units_are_pinned(k, n, s, monkeypatch):
+    units, terms = REDUCE_UNITS[k, n, s]
+    rng = random.Random(f"s4:{k}:{n}:{s}")
+    f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", units)
+    assert len(reduced_dnf(f).dnf) == terms
+    monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", units - 1)
+    with pytest.raises(CapacityError, match="reduce stage"):
+        reduced_dnf(f)
+
+
+@pytest.mark.parametrize("k,n,table_seed", [(2, 12, "s4:2:12:3"), (3, 7, "s4:3:7:0")])
+def test_wide_emission_bits_are_the_terms_maximal_intervals(k, n, table_seed):
+    # these carriers have blocks of 2048 and 729 points at the top, where an
+    # interval's bitset is built from shifted copies rather than a product
+    from kdnf.reduce import _interval_bits
+
+    rng = random.Random(table_seed)
+    f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    for lt in reduced_dnf(f).levels:
+        for t, bits in zip(lt.terms, lt.term_bits):
+            masks = t.interval.factors
+            assert bits == _interval_bits(k, masks)
+            assert bits & lt.level_bits and not bits & ~lt.carrier_bits
+            for j, mask in enumerate(masks):
+                for v in range(k):
+                    if mask >> v & 1:
+                        continue
+                    wider = masks[:j] + (mask | 1 << v,) + masks[j + 1 :]
+                    assert _interval_bits(k, wider) & ~lt.carrier_bits, "a wider interval fits"

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given
 
 from kdnf import (
     Dnf,
+    ElementaryConjunction,
+    Interval,
     KFunction,
     PartialKFunction,
     ParseError,
@@ -14,6 +18,7 @@ from kdnf import (
     print_function,
     reduced_dnf,
 )
+from kdnf.core import mask_values
 
 from .conftest import STAR_EXAMPLE_POINTS, ec, kfunctions
 
@@ -117,6 +122,64 @@ class TestPrintDnf:
 
     def test_full_interval_term(self):
         assert print_dnf(Dnf(3, 2, (ec(3, 2, None, None),))) == "TRUE->2\n"
+
+
+def reference_format_term(ec):
+    """The printer before the per-call factor text cache: one f-string per factor."""
+    full = (1 << ec.k) - 1
+    parts = [
+        f"J{{{','.join(map(str, mask_values(f)))}}}(x{j + 1})"
+        for j, f in enumerate(ec.interval.factors)
+        if f != full
+    ]
+    head = "*".join(parts) if parts else "TRUE"
+    return f"{head}->{ec.gamma}"
+
+
+def reference_print_dnf(d):
+    if not d.terms:
+        return "0\n"
+    return "".join(reference_format_term(t) + "\n" for t in d.canonical().terms)
+
+
+def seeded_dnf(k, n, seed, count):
+    """Shuffled random terms, some repeated and some TRUE, over several gammas."""
+    rng = random.Random(f"print:{k}:{n}:{seed}")
+    full = (1 << k) - 1
+    terms = []
+    for _ in range(count):
+        masks = tuple(full if rng.random() < 0.4 else rng.randrange(1, full + 1) for _ in range(n))
+        if rng.random() < 0.05:
+            masks = (full,) * n
+        terms.append(ElementaryConjunction(Interval(k, masks), rng.randrange(1, k)))
+    terms += rng.sample(terms, count // 10)
+    rng.shuffle(terms)
+    return Dnf(k, n, tuple(terms))
+
+
+class TestPrintMatchesReference:
+    @pytest.mark.parametrize("k,n", [(2, 3), (3, 4), (5, 2), (16, 5), (4, 10), (2, 20)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_dnfs_print_byte_identically(self, k, n, seed):
+        d = seeded_dnf(k, n, seed, 60)
+        assert print_dnf(d) == reference_print_dnf(d)
+        for t in d.terms:
+            assert format_term(t) == reference_format_term(t)
+
+    def test_text_covers_two_digit_values_and_variables(self):
+        values, variables = print_dnf(seeded_dnf(16, 5, 0, 60)), print_dnf(seeded_dnf(2, 20, 0, 60))
+        assert "TRUE->" in values and "15}" in values and "->15" in values
+        assert "(x10)" in variables and "(x20)" in variables
+
+    def test_reversed_canonical_dnf_still_prints_sorted(self):
+        d = seeded_dnf(16, 5, 1, 60).canonical()
+        backwards = Dnf(d.k, d.n, d.terms[::-1])
+        assert print_dnf(backwards) == print_dnf(d) == reference_print_dnf(d)
+        assert print_dnf(d).splitlines() != [reference_format_term(t) for t in backwards.terms]
+
+    def test_format_term_text(self):
+        assert format_term(ec(16, 15, [10, 15], None, [0, 9, 12])) == "J{10,15}(x1)*J{0,9,12}(x3)->15"
+        assert format_term(ec(3, 2, None, None)) == "TRUE->2"
 
 
 class TestParseDnf:
