@@ -16,9 +16,9 @@ inside X_S(I'), so I2 = I' and S2 lies in S(I').  Conversely a maximal
 S x I' has S = S(I') and I' maximal in X_S.  So the maximal intervals are
 the pairs (S(I'), I') over I' maximal in a distinct nonempty intersection X
 of cofactors (the cofactor-splitting prime generation of Espresso-MV), each
-emitted from the X with {v : X in C_v} = S(I'), as I' * spread with bit
-v*block of spread set per v in S.  Subproblems are memoised on (bits, depth)
-within one call; REDUCE_CAP bounds the call's work (units: see _maximal).
+emitted from the X with {v : X in C_v} = S(I') as the copies I' << v*block,
+v in S.  Subproblems are memoised on (bits, depth) within one call;
+REDUCE_CAP bounds the call's work (units: see _maximal).
 """
 
 from __future__ import annotations
@@ -104,16 +104,11 @@ class ReducedDnf:
         return self.dnf.n
 
 
-def _spread(bits: int, mask: int, block: int) -> int:
-    """Prepend an axis: one copy of bits at v*block per value v in mask."""
-    return sum(bits << v * block for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def _interval_bits(k: int, masks: tuple[int, ...]) -> int:
     """Point bitset of the interval with these factor masks."""
     bits, block = 1, 1
-    for mask in reversed(masks):
-        bits, block = _spread(bits, mask, block), block * k
+    for mask in reversed(masks):  # prepend an axis: one copy of bits per value
+        bits, block = sum(bits << v * block for v in range(k) if mask >> v & 1), block * k
     return bits
 
 
@@ -147,22 +142,20 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
             frontier = {x & c for x in frontier for c in base} - seen - {0}
         found = []
         for x in seen:
-            # one pass: S = own, its spread pattern and the complements of
-            # the cofactors X does not fit
-            own, spread, outside = 0, 0, []
+            # one pass: S = own, the shift v*block per v in S, and the
+            # complements of the cofactors X does not fit
+            own, shifts, outside = 0, [], []
             for v, c in enumerate(cofactors):
                 if x & ~c:
                     outside.append(full ^ c)
                 else:
-                    own, spread = own | 1 << v, spread | 1 << v * block
-            # sub < 2**block, so sub * spread == _spread(sub, own, block); past
-            # 1024 bits CPython's multiply costs more than shifting each copy
-            wide = spread >> 1024
+                    own |= 1 << v
+                    shifts.append(v * block)
             subs = _maximal(k, x, m - 1, memo, budget)
             _charge(budget, len(subs) * unit)
             # an I' that fits a further cofactor is emitted from a smaller X
             found += [
-                (_spread(sub, own, block) if wide else sub * spread, (own,) + masks)
+                (sum(map(sub.__lshift__, shifts)), (own,) + masks)
                 for sub, masks in subs
                 if all(sub & o for o in outside)
             ]

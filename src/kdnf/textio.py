@@ -58,29 +58,25 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _header(lines: list[tuple[int, str]], pattern: re.Pattern, expected: str) -> tuple[int, re.Match, int, int]:
-    """Line number, match, k and n of a file's checked header line."""
+def parse_function(text: str) -> KFunction | PartialKFunction:
+    """Parse a function file into a total or partially defined function."""
+    lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "missing header")
     line_no, header = lines[0]
-    m = pattern.match(header)
+    m = _HEADER_RE.match(header)
     if not m:
-        raise ParseError(line_no, f"malformed header, expected '{expected}'")
-    k, n = int(m.group(1)), int(m.group(2))
+        raise ParseError(line_no, "malformed header, expected 'k=K n=N mode=total|partial'")
+    k, n, mode = int(m.group(1)), int(m.group(2)), m.group(3)
+    default = int(m.group(4)) if m.group(4) is not None else None
     if not 2 <= k <= 16:
         raise ParseError(line_no, f"k={k} outside [2, 16]")
     if n < 1:
         raise ParseError(line_no, f"n={n} must be >= 1")
-    return line_no, m, k, n
-
-
-def parse_function(text: str) -> KFunction | PartialKFunction:
-    """Parse a function file into a total or partially defined function."""
-    lines = _content_lines(text)
-    line_no, m, k, n = _header(lines, _HEADER_RE, "k=K n=N mode=total|partial")
-    mode, default = m.group(3), int(m.group(4) or 0)
-    if mode == "partial" and m.group(4) is not None:
+    if mode == "partial" and default is not None:
         raise ParseError(line_no, "default= is only meaningful in total mode")
+    if default is None:
+        default = 0
     if not 0 <= default < k:
         raise ParseError(line_no, f"default value {default} >= k")
 
@@ -184,7 +180,17 @@ def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunc
 def parse_dnf(text: str) -> Dnf:
     """Parse a DNF file: 'k=K n=N' header, then one term per line."""
     lines = _content_lines(text)
-    _, _, k, n = _header(lines, _DNF_HEADER_RE, "k=K n=N")
+    if not lines:
+        raise ParseError(1, "missing header")
+    line_no, header = lines[0]
+    m = _DNF_HEADER_RE.match(header)
+    if not m:
+        raise ParseError(line_no, "malformed header, expected 'k=K n=N'")
+    k, n = int(m.group(1)), int(m.group(2))
+    if not 2 <= k <= 16:
+        raise ParseError(line_no, f"k={k} outside [2, 16]")
+    if n < 1:
+        raise ParseError(line_no, f"n={n} must be >= 1")
     terms = []
     for line_no, line in lines[1:]:
         if line == "0":

@@ -276,9 +276,9 @@ def test_reduce_work_units_are_pinned(k, n, s, monkeypatch):
 
 
 @pytest.mark.parametrize("k,n,table_seed", [(2, 12, "s4:2:12:3"), (3, 7, "s4:3:7:0")])
-def test_wide_emission_bits_are_the_terms_maximal_intervals(k, n, table_seed):
-    # these carriers have blocks of 2048 and 729 points at the top, where an
-    # interval's bitset is built from shifted copies rather than a product
+def test_emitted_bits_are_the_terms_maximal_intervals(k, n, table_seed):
+    # carriers with blocks of 2048 and 729 points at the top, so an emitted
+    # bitset's copies sit far apart
     from kdnf.reduce import _interval_bits
 
     rng = random.Random(table_seed)
