@@ -14,15 +14,21 @@ MAX_TABLE.  A total function holds a value below k at every index; a
 partial one holds UNDEFINED (255, above every value) at its undefined
 points, so a total function is a partial one with every point defined.
 
-Everything in this module is immutable after construction and safe for
-concurrent reads.
+Every type here is an immutable record on one small base (_Record): a
+plain class with __slots__, whose constructor validates its arguments and
+sets the fields once.  Assigning or deleting a field raises AttributeError.
+Two records are equal when they have the same class and the same fields,
+and hash over those fields.  They pickle and copy through __reduce__.  No
+code is generated for them, so the standard library's field helpers
+(fields, replace, asdict) and __match_args__ do not apply.  Values are safe
+for concurrent reads.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
 MIN_K = 2
 MAX_K = 16          # desk-scale cap on the alphabet
@@ -94,24 +100,65 @@ def mask_values(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class _Record:
+    """Base of the immutable records.
+
+    A record lists its fields in __slots__ and its __init__ sets each one
+    once through object.__setattr__.  Equality (same class, equal fields),
+    hashing and copying go over the fields named in _key, the slots unless
+    the class names fewer; repr shows those in _shown, _key unless the class
+    names fewer.  Copies call the class with _key's values, so _key follows
+    the constructor's parameters unless the class overrides __reduce__.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = getattr(cls, "_key", cls.__slots__)
+        cls._shown = getattr(cls, "_shown", cls._key)
+        cls._values = operator.attrgetter(*cls._key)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, tuple(getattr(self, name) for name in self._key)
+
+
+class Interval(_Record):
     """Cartesian product of nonempty value sets; a sublattice of {0..k-1}^n.
 
     factors[j] is the bitmask of the values allowed for variable j + 1.
     """
 
-    k: int
-    factors: tuple[int, ...]
+    __slots__ = ("k", "factors")
 
-    def __post_init__(self) -> None:
-        check_alphabet(self.k)
-        if not self.factors:
+    def __init__(self, k: int, factors: tuple[int, ...]) -> None:
+        check_alphabet(k)
+        if not factors:
             raise ValueError("interval needs at least one factor")
-        top = 1 << self.k
-        for j, f in enumerate(self.factors):
+        top = 1 << k
+        for j, f in enumerate(factors):
             if not 0 < f < top:
                 raise ValueError(f"factor {j + 1} mask {f} is not a nonempty subset of the alphabet")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def from_values(cls, k: int, *factors: Iterable[int]) -> "Interval":
@@ -159,16 +206,16 @@ class Interval:
         return list(itertools.product(*map(mask_values, self.factors)))
 
 
-@dataclass(frozen=True, slots=True)
-class ElementaryConjunction:
+class ElementaryConjunction(_Record):
     """An interval with an output level; evaluates to gamma on the interval."""
 
-    interval: Interval
-    gamma: int
+    __slots__ = ("interval", "gamma")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.gamma <= self.interval.k - 1:
-            raise ValueError(f"gamma={self.gamma} outside [1, {self.interval.k - 1}]")
+    def __init__(self, interval: Interval, gamma: int) -> None:
+        if not 1 <= gamma <= interval.k - 1:
+            raise ValueError(f"gamma={gamma} outside [1, {interval.k - 1}]")
+        object.__setattr__(self, "interval", interval)
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def k(self) -> int:
@@ -201,19 +248,19 @@ class ElementaryConjunction:
         return tuple(j for j, f in enumerate(self.interval.factors) if f != full)
 
 
-@dataclass(frozen=True, slots=True)
-class Dnf:
+class Dnf(_Record):
     """Disjunction (pointwise max) of elementary conjunctions; may be empty."""
 
-    k: int
-    n: int
-    terms: tuple[ElementaryConjunction, ...] = ()
+    __slots__ = ("k", "n", "terms")
 
-    def __post_init__(self) -> None:
-        check_shape(self.k, self.n)
-        for t in self.terms:
-            if t.k != self.k or t.n != self.n:
+    def __init__(self, k: int, n: int, terms: tuple[ElementaryConjunction, ...] = ()) -> None:
+        check_shape(k, n)
+        for t in terms:
+            if t.k != k or t.n != n:
                 raise ValueError("term shape does not match the DNF shape")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "terms", terms)
 
     def value_at(self, p: Point) -> int:
         if len(p) != self.n:
@@ -239,20 +286,20 @@ class Dnf:
         return KFunction(self.k, self.n, bytes(self.value_at(p) for p in all_points(self.k, self.n)))
 
 
-@dataclass(frozen=True, slots=True)
-class KFunction:
+class KFunction(_Record):
     """Total function {0..k-1}^n -> {0..k-1} as a dense table of k**n values."""
 
-    k: int
-    n: int
-    table: bytes
+    __slots__ = ("k", "n", "table")
 
-    def __post_init__(self) -> None:
-        check_shape(self.k, self.n)
-        if len(self.table) != self.k**self.n:
-            raise ValueError(f"table length {len(self.table)} != k**n = {self.k ** self.n}")
-        if max(self.table) >= self.k:
+    def __init__(self, k: int, n: int, table: bytes) -> None:
+        check_shape(k, n)
+        if len(table) != k**n:
+            raise ValueError(f"table length {len(table)} != k**n = {k ** n}")
+        if max(table) >= k:
             raise ValueError("table entry outside the alphabet")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "table", table)
 
     @classmethod
     def from_table(cls, k: int, n: int, values: Iterable[int]) -> "KFunction":
@@ -295,7 +342,7 @@ def functions_equal(f: KFunction, g: KFunction) -> bool:
     return f.table == g.table
 
 
-class PartialKFunction:
+class PartialKFunction(_Record):
     """Partially defined function: disjoint defined sets per value, rest undefined.
 
     Stored as a dense table like KFunction's, with UNDEFINED at the undefined
@@ -305,10 +352,10 @@ class PartialKFunction:
 
     __slots__ = ("k", "n", "table")
 
-    def __init__(self, k: int, n: int, assignments: Mapping[Point, int]):
-        self.table = _table_from_map(k, n, assignments, UNDEFINED)
-        self.k = k
-        self.n = n
+    def __init__(self, k: int, n: int, assignments: Mapping[Point, int]) -> None:
+        object.__setattr__(self, "table", _table_from_map(k, n, assignments, UNDEFINED))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def from_level_sets(cls, k: int, n: int, levels: Mapping[int, Iterable[Point]]) -> "PartialKFunction":
@@ -322,17 +369,13 @@ class PartialKFunction:
                 assignments[p] = v
         return cls(k, n, assignments)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartialKFunction):
-            return NotImplemented
-        return (self.k, self.n, self.table) == (other.k, other.n, other.table)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.n, self.table))
-
     def __repr__(self) -> str:
         defined = len(self.table) - self.table.count(UNDEFINED)
         return f"PartialKFunction(k={self.k}, n={self.n}, defined={defined})"
+
+    def __reduce__(self) -> tuple:
+        # the constructor takes assignments, so a copy is rebuilt from the table
+        return _partial_from_table, (self.k, self.n, self.table)
 
     def value(self, p: Point) -> int | None:
         """Defined value at p, or None when p is undefined."""
@@ -342,3 +385,10 @@ class PartialKFunction:
     def items(self) -> tuple[tuple[Point, int], ...]:
         """(point, value) over the defined points, in point-index order."""
         return tuple((p, v) for p, v in zip(all_points(self.k, self.n), self.table) if v != UNDEFINED)
+
+
+def _partial_from_table(k: int, n: int, table: bytes) -> PartialKFunction:
+    func = object.__new__(PartialKFunction)
+    for name, value in zip(PartialKFunction.__slots__, (k, n, table)):
+        object.__setattr__(func, name, value)
+    return func

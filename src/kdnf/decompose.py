@@ -10,19 +10,19 @@ the regions in which the reduced-DNF intervals of each level must live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import KFunction, Point
+from .core import KFunction, Point, _Record
 from .reduce import _bits_where, _points_of
 
 
-@dataclass(frozen=True, slots=True)
-class LevelDecomposition:
+class LevelDecomposition(_Record):
     """Per-level split: (gamma, level set) pairs in ascending gamma order."""
 
-    k: int
-    n: int
-    levels: tuple[tuple[int, frozenset[Point]], ...]
+    __slots__ = ("k", "n", "levels")
+
+    def __init__(self, k: int, n: int, levels: tuple[tuple[int, frozenset[Point]], ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def gammas(self) -> tuple[int, ...]:
@@ -36,13 +36,15 @@ class LevelDecomposition:
         raise KeyError(f"level {gamma} not attained")
 
 
-@dataclass(frozen=True, slots=True)
-class MaxRepresentation:
+class MaxRepresentation(_Record):
     """Carriers (gamma, union of this and all higher level sets), ascending."""
 
-    k: int
-    n: int
-    carriers: tuple[tuple[int, frozenset[Point]], ...]
+    __slots__ = ("k", "n", "carriers")
+
+    def __init__(self, k: int, n: int, carriers: tuple[tuple[int, frozenset[Point]], ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "carriers", carriers)
 
     def carrier(self, gamma: int) -> frozenset[Point]:
         for g, pts in self.carriers:
@@ -54,7 +56,7 @@ class MaxRepresentation:
 def decompose(f: KFunction) -> LevelDecomposition:
     """Split f into its quasi-Boolean level sets; unattained levels are omitted."""
     levels = tuple(
-        (g, _points_of(_bits_where(f.table, (g,)), f.k, f.n)) for g in sorted(set(f.table) - {0})
+        (g, _points_of(_bits_where(f.table, g, g + 1), f.k, f.n)) for g in sorted(set(f.table) - {0})
     )
     return LevelDecomposition(f.k, f.n, levels)
 

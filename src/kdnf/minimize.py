@@ -36,7 +36,6 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 from .core import (
     CapacityError,
@@ -44,6 +43,7 @@ from .core import (
     ElementaryConjunction,
     KFunction,
     Point,
+    _Record,
     decode_point,
     mask_values,
 )
@@ -120,33 +120,39 @@ def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConj
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class LevelCover:
+class LevelCover(_Record):
     """Set-cover view of one level, every set an int bitset over the
     lattice's point indices: level_bits is the level set, covers[i] the part
     of it inside candidates[i], and a selection covers the level when the OR
     of its covers is level_bits.  universe decodes the level set only when
     it is read."""
 
-    k: int
-    n: int
-    gamma: int
-    level_bits: int = field(repr=False)
-    candidates: tuple[ElementaryConjunction, ...]
-    covers: tuple[int, ...] = field(repr=False)
+    __slots__ = ("k", "n", "gamma", "level_bits", "candidates", "covers")
+    _shown = ("k", "n", "gamma", "candidates")
+
+    def __init__(self, k: int, n: int, gamma: int, level_bits: int,
+                 candidates: tuple[ElementaryConjunction, ...], covers: tuple[int, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "level_bits", level_bits)
+        object.__setattr__(self, "candidates", candidates)
+        object.__setattr__(self, "covers", covers)
 
     @property
     def universe(self) -> tuple[Point, ...]:
         return tuple(decode_point(p, self.k, self.n) for p in _set_bits(self.level_bits))
 
 
-@dataclass(frozen=True, slots=True)
-class CoverInstance:
+class CoverInstance(_Record):
     """Per-level covering problems extracted from a realizing pool."""
 
-    k: int
-    n: int
-    levels: tuple[LevelCover, ...]
+    __slots__ = ("k", "n", "levels")
+
+    def __init__(self, k: int, n: int, levels: tuple[LevelCover, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "levels", levels)
 
 
 def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
@@ -173,7 +179,7 @@ def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
     for gamma in range(k - 1, 0, -1):
         for _, bits in by_level[gamma]:
             reach |= bits
-        at_least[gamma] = _bits_where(f.table, range(gamma, k))
+        at_least[gamma] = _bits_where(f.table, gamma, k)
         if reach != at_least[gamma]:
             raise ValueError("pool does not realize the function")
     levels = []
@@ -288,11 +294,13 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
     return results
 
 
-@dataclass(frozen=True, slots=True)
-class MinimizationResult:
-    dnf: Dnf
-    metric: str
-    objective_value: int
+class MinimizationResult(_Record):
+    __slots__ = ("dnf", "metric", "objective_value")
+
+    def __init__(self, dnf: Dnf, metric: str, objective_value: int) -> None:
+        object.__setattr__(self, "dnf", dnf)
+        object.__setattr__(self, "metric", metric)
+        object.__setattr__(self, "objective_value", objective_value)
 
 
 def _term_cost(t: ElementaryConjunction, metric: str) -> tuple[int, int]:

@@ -16,34 +16,33 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-from .core import CapacityError, KFunction, Point, check_alphabet, check_shape, decode_point, encode_point
+from .core import CapacityError, KFunction, Point, _Record, check_alphabet, check_shape, decode_point, encode_point
 from .minimize import dead_end_dnfs
 from .reduce import ReducedDnf, reduced_dnf
 
 COUNT_CAP = 10**8  # cap on k**(k**n), the candidate-table space of the counter
 
 
-@dataclass(frozen=True, slots=True)
-class ValueOrder:
+class ValueOrder(_Record):
     """Reflexive-transitive order on {0..k-1}; geq[i] is the bitmask of j <= i."""
 
-    k: int
-    geq: tuple[int, ...]
+    __slots__ = ("k", "geq")
 
-    def __post_init__(self) -> None:
-        check_alphabet(self.k)
-        if len(self.geq) != self.k:
+    def __init__(self, k: int, geq: tuple[int, ...]) -> None:
+        check_alphabet(k)
+        if len(geq) != k:
             raise ValueError("relation size does not match the alphabet")
-        for i in range(self.k):
-            if not self.geq[i] >> i & 1:
+        for i in range(k):
+            if not geq[i] >> i & 1:
                 raise ValueError(f"order is not reflexive at {i}")
-            for j in range(self.k):
-                if i != j and self.geq[i] >> j & 1 and self.geq[j] >> i & 1:
+            for j in range(k):
+                if i != j and geq[i] >> j & 1 and geq[j] >> i & 1:
                     raise ValueError(f"order is not antisymmetric on ({i}, {j})")
-                if self.geq[i] >> j & 1 and self.geq[j] & ~self.geq[i]:
+                if geq[i] >> j & 1 and geq[j] & ~geq[i]:
                     raise ValueError("order is not transitively closed")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "geq", geq)
 
     @classmethod
     def from_relations(cls, k: int, pairs: Iterable[tuple[int, int]]) -> "ValueOrder":
@@ -186,8 +185,7 @@ def count_monotone_exact(n: int, k: int, order: ValueOrder) -> int:
     return sum(1 for _ in iter_monotone_functions(n, k, order))
 
 
-@dataclass(frozen=True, slots=True)
-class PsiEstimate:
+class PsiEstimate(_Record):
     """Leading term of the star-monotone class-size estimate.
 
     log2_psi is the base-2 exponent of the estimated count:
@@ -198,11 +196,14 @@ class PsiEstimate:
     one-dimensional drawings of the order.
     """
 
-    n: int
-    k: int
-    log2_psi: float
-    d: int
-    big_d: float
+    __slots__ = ("n", "k", "log2_psi", "d", "big_d")
+
+    def __init__(self, n: int, k: int, log2_psi: float, d: int, big_d: float) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "log2_psi", log2_psi)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "big_d", big_d)
 
 
 def psi_estimate(n: int, k: int) -> PsiEstimate:
@@ -215,8 +216,7 @@ def psi_estimate(n: int, k: int) -> PsiEstimate:
     return PsiEstimate(n, k, log2_psi, 2, (k - 1) / k**2)
 
 
-@dataclass(frozen=True, slots=True)
-class ChainShapeReport:
+class ChainShapeReport(_Record):
     """Structure of the reduced DNF of a chain-monotone function.
 
     For such functions every factor must be an upper interval [a, k-1], the
@@ -224,12 +224,17 @@ class ChainShapeReport:
     corner is a core point: no other term of its level reaches it.
     """
 
-    reduced: ReducedDnf
-    factors_upper: bool
-    dead_end_count: int
-    dead_end_equals_reduced: bool
-    core_points: tuple[Point, ...]
-    cores_exclusive: bool
+    __slots__ = ("reduced", "factors_upper", "dead_end_count", "dead_end_equals_reduced", "core_points",
+                 "cores_exclusive")
+
+    def __init__(self, reduced: ReducedDnf, factors_upper: bool, dead_end_count: int,
+                 dead_end_equals_reduced: bool, core_points: tuple[Point, ...], cores_exclusive: bool) -> None:
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "factors_upper", factors_upper)
+        object.__setattr__(self, "dead_end_count", dead_end_count)
+        object.__setattr__(self, "dead_end_equals_reduced", dead_end_equals_reduced)
+        object.__setattr__(self, "core_points", core_points)
+        object.__setattr__(self, "cores_exclusive", cores_exclusive)
 
 
 def _is_upper_interval(mask: int, k: int) -> bool:

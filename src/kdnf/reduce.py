@@ -23,8 +23,6 @@ REDUCE_CAP bounds the call's work (units: see _maximal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import (
     UNDEFINED,
     CapacityError,
@@ -34,6 +32,7 @@ from .core import (
     KFunction,
     PartialKFunction,
     Point,
+    _Record,
     check_shape,
     decode_point,
     encode_point,
@@ -42,27 +41,26 @@ from .core import (
 REDUCE_CAP = 10**6  # work units (see _maximal) per reduce call
 
 
-@dataclass(frozen=True, slots=True)
-class CarrierSet:
-    """Region that an interval must stay inside."""
+class CarrierSet(_Record):
+    """Region that an interval must stay inside; bits is its point bitset."""
 
-    k: int
-    n: int
-    points: frozenset[Point]
-    bits: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("k", "n", "points", "bits")
+    _key = ("k", "n", "points")
 
-    def __post_init__(self) -> None:
-        check_shape(self.k, self.n)
-        marks = bytearray(b"0") * self.k**self.n
-        for p in self.points:
-            if len(p) != self.n:
-                raise ValueError(f"point {p} outside the {self.k}**{self.n} lattice")
-            marks[encode_point(p, self.k)] = ord("1")  # encode_point checks coordinates
+    def __init__(self, k: int, n: int, points: frozenset[Point]) -> None:
+        check_shape(k, n)
+        marks = bytearray(b"0") * k**n
+        for p in points:
+            if len(p) != n:
+                raise ValueError(f"point {p} outside the {k}**{n} lattice")
+            marks[encode_point(p, k)] = ord("1")  # encode_point checks coordinates
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "bits", int(marks[::-1], 2))
 
 
-@dataclass(frozen=True, slots=True)
-class LevelTerms:
+class LevelTerms(_Record):
     """Terms of one output level with the carrier they are maximal in.
 
     The level set, the carrier and each term's interval (term_bits, aligned
@@ -71,13 +69,18 @@ class LevelTerms:
     only when they are read.
     """
 
-    k: int
-    n: int
-    gamma: int
-    level_bits: int = field(repr=False)
-    carrier_bits: int = field(repr=False)
-    terms: tuple[ElementaryConjunction, ...]
-    term_bits: tuple[int, ...] = field(repr=False)
+    __slots__ = ("k", "n", "gamma", "level_bits", "carrier_bits", "terms", "term_bits")
+    _shown = ("k", "n", "gamma", "terms")
+
+    def __init__(self, k: int, n: int, gamma: int, level_bits: int, carrier_bits: int,
+                 terms: tuple[ElementaryConjunction, ...], term_bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "level_bits", level_bits)
+        object.__setattr__(self, "carrier_bits", carrier_bits)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "term_bits", term_bits)
 
     @property
     def level_points(self) -> frozenset[Point]:
@@ -88,12 +91,14 @@ class LevelTerms:
         return CarrierSet(self.k, self.n, _points_of(self.carrier_bits, self.k, self.n))
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedDnf:
+class ReducedDnf(_Record):
     """Reduced DNF plus per-level provenance, terms in canonical order."""
 
-    dnf: Dnf
-    levels: tuple[LevelTerms, ...]
+    __slots__ = ("dnf", "levels")
+
+    def __init__(self, dnf: Dnf, levels: tuple[LevelTerms, ...]) -> None:
+        object.__setattr__(self, "dnf", dnf)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def k(self) -> int:
@@ -169,11 +174,9 @@ def maximal_intervals(carrier: CarrierSet) -> list[Interval]:
     return [Interval(carrier.k, ms) for ms in sorted(ms for _, ms in found)]
 
 
-def _bits_where(table: bytes, values) -> int:
-    """Bitset of the table indices whose entry is one of the values."""
-    marks = bytearray(b"0") * 256
-    for v in values:
-        marks[v] = ord("1")
+def _bits_where(table: bytes, lo: int, hi: int) -> int:
+    """Bitset of the table indices whose entry lies in [lo, hi)."""
+    marks = b"0" * lo + b"1" * (hi - lo) + b"0" * (256 - hi)
     return int(table.translate(marks)[::-1], 2)
 
 
@@ -195,8 +198,8 @@ def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
     """Reduced DNF of a table in point-index order, UNDEFINED where undefined."""
     memo, budget, levels = {}, [REDUCE_CAP], []
     for gamma in sorted(set(table) - {0, UNDEFINED}):
-        carrier = _bits_where(table, range(gamma, 256))
-        level = _bits_where(table, (gamma,))
+        carrier = _bits_where(table, gamma, 256)
+        level = _bits_where(table, gamma, gamma + 1)
         found = sorted(_maximal(k, carrier, n, memo, budget), key=lambda f: f[1])
         found = [(bits, masks) for bits, masks in found if bits & level]
         terms = tuple(ElementaryConjunction(Interval(k, masks), gamma) for _, masks in found)

@@ -260,6 +260,14 @@ class TestPartialKFunction:
         items = PartialKFunction(3, 2, self.ASSIGNED).items()
         assert items == (((0, 0), 2), ((0, 2), 0), ((1, 1), 2), ((2, 0), 1))
 
+    def test_fields_cannot_be_assigned(self):
+        func = PartialKFunction(2, 2, {(0, 0): 1})
+        before = hash(func)
+        for name, value in (("k", 7), ("table", bytes(4))):
+            with pytest.raises(AttributeError):
+                setattr(func, name, value)
+        assert (func.k, func.table, hash(func)) == (2, b"\x01\xff\xff\xff", before)
+
     def test_repr_shows_the_defined_count(self):
         assert repr(PartialKFunction(3, 2, self.ASSIGNED)) == "PartialKFunction(k=3, n=2, defined=4)"
         assert repr(PartialKFunction(2, 3, {})) == "PartialKFunction(k=2, n=3, defined=0)"

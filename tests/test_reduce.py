@@ -16,6 +16,7 @@ from kdnf import (
     reduced_dnf,
     reduced_dnf_partial,
 )
+from kdnf.core import UNDEFINED
 from kdnf.oracle import oracle_maximal_intervals
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
@@ -294,3 +295,15 @@ def test_emitted_bits_are_the_terms_maximal_intervals(k, n, table_seed):
                         continue
                     wider = masks[:j] + (mask | 1 << v,) + masks[j + 1 :]
                     assert _interval_bits(k, wider) & ~lt.carrier_bits, "a wider interval fits"
+
+
+@pytest.mark.parametrize("k,n,seed", [(2, 5, 0), (3, 3, 1), (5, 2, 2), (16, 2, 3)])
+def test_bits_where_matches_a_per_index_reference(k, n, seed):
+    from kdnf.reduce import _bits_where
+
+    rng = random.Random(f"bits-where:{k}:{n}:{seed}")
+    table = bytes(rng.choice([*range(k), UNDEFINED]) for _ in range(k**n))
+    bounds = [(g, h) for g in range(k) for h in (g, g + 1, k, 256)] + [(k, 256), (0, 256)]
+    for lo, hi in bounds:
+        expected = sum(1 << i for i, v in enumerate(table) if lo <= v < hi)
+        assert _bits_where(table, lo, hi) == expected, (lo, hi)
