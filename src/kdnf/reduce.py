@@ -18,10 +18,33 @@ the pairs (S(I'), I') over I' maximal in a distinct nonempty intersection X
 of cofactors (the cofactor-splitting prime generation of Espresso-MV), each
 emitted from the X with {v : X in C_v} = S(I') as the copies I' << v*block,
 v in S.  Subproblems are memoised on (bits, depth) within one call;
-REDUCE_CAP bounds the call's work (units: see _maximal).
+REDUCE_CAP bounds the call's work (units: see _maximal and _sieve).
+
+Small subproblems are not split: _sieve finds all their maximal intervals
+at once, a bit-parallel Quine-McCluskey pass over the multi-valued cubes.
+With B = 2**k - 1, the cube (S_1, ..., S_m) of nonempty value masks is bit
+sum (S_j - 1)*B**(m-j) of one int over all B**m cubes, so ascending index
+is the canonical mask order.  The carrier's points go to their singleton
+cubes in m steps: step j moves the block of value v on axis j from stride
+k**(m-j) to digit 2**v - 1 at stride B**(m-j).  Then, axis by axis at
+stride s, each non-singleton mask S in ascending order, with low = S & -S,
+gets the implicants whose S ^ low and low halves both are implicants:
+imp |= (imp << low*s) & (imp << (S-low)*s) & slab(S).  An implicant that
+lacks v on an axis is not maximal when its widening by v, (1 << v)*s bits
+up, is an implicant too; the rest are the maximal intervals.
+
+The rule is a fixed function of (k, m): _maximal sieves when m >= 2, k <= 4
+and B**m <= 2**16, so k=2 n<=10, k=3 n<=5 and k=4 n<=4 carriers are sieved
+whole and larger n below their top splits.  On random tables (Python 3.11,
+2 CPUs) that made reduce 7.5, 5.5 and 3.6 times faster at k=2 n=10, k=3
+n=5 and k=4 n=4.  But the m*(2**k - k) growth steps over B**m cubes swamp
+the few points of a large-k carrier: sieving at every k took k=7 n=3 from
+0.021 s to 0.14 s and k=8 n=3 from 0.085 s to 1.9 s.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .core import (
     UNDEFINED,
@@ -38,7 +61,8 @@ from .core import (
     encode_point,
 )
 
-REDUCE_CAP = 10**6  # work units (see _maximal) per reduce call
+REDUCE_CAP = 10**6  # work units (see _maximal and _sieve) per reduce call
+_SIEVE_K, _SIEVE_CUBES = 4, 1 << 16  # subproblems _maximal sieves whole
 
 
 class CarrierSet(_Record):
@@ -123,12 +147,80 @@ def _charge(budget: list[int], units: int) -> None:
         raise CapacityError(f"reduce stage: maximal-interval work passed the cap {REDUCE_CAP}")
 
 
+def _repeat(pattern: int, period: int, count: int) -> int:
+    """count copies of pattern, period bits apart."""
+    bits, copies = pattern, 1
+    while copies < count:
+        bits |= bits << copies * period
+        copies *= 2
+    return bits & (1 << count * period) - 1
+
+
+@functools.lru_cache(maxsize=16)  # every (k, m) that _maximal sieves
+def _layout(k: int, m: int) -> tuple[list, list, list, int, list, list]:
+    """Sieve tables for k values over m variables (see the module docstring):
+    the embedding steps (cubes of axis j's value v, shift) in axis order; the
+    growth steps (shift from S ^ low, shift from low, cubes of S) per axis,
+    S ascending; the widening steps (shift, cubes lacking v) per axis and
+    value; and the divisor that splits a cube index into a high and a low
+    part, with the (masks, point bitset) of every high and every low part."""
+    base, points = (1 << k) - 1, (1 << k**m) - 1
+    embed, grow, widen, rows = [], [], [], [((), points)]
+    for j in range(m):
+        s, t = base ** (m - 1 - j), k ** (m - 1 - j)
+        # before axis j is embedded its values are k blocks of t points
+        block = _repeat((1 << t) - 1, base * s, base**j)
+        embed.append([(block << v * t, ((1 << v) - 1) * s - v * t) for v in range(k)])
+        block = _repeat((1 << s) - 1, base * s, base**j)  # the cubes with S_j = {0}
+        slab = [0] + [block << (mask - 1) * s for mask in range(1, base + 1)]
+        for mask in range(3, base + 1):
+            low = mask & -mask
+            if mask != low:
+                grow.append((low * s, (mask - low) * s, slab[mask]))
+        for v in range(k):
+            widen.append(((1 << v) * s, sum(slab[mask] for mask in range(1, base + 1) if not mask >> v & 1)))
+        if j == m // 2:
+            high, rows = rows, [((), points)]
+        block = _repeat((1 << t) - 1, k * t, k**j)  # the points with x_j = 0
+        column = [sum(block << v * t for v in range(k) if mask >> v & 1) for mask in range(1, base + 1)]
+        rows = [(masks + (mask,), pts & c) for masks, pts in rows for mask, c in enumerate(column, 1)]
+    return embed, grow, widen, base ** (m - m // 2), high, rows
+
+
+def _sieve(k: int, bits: int, m: int, budget: list[int]) -> list[tuple[int, tuple]]:
+    """Maximal intervals of carrier bits over m variables, found together by
+    growing and sieving the implicant bitset over all (2**k - 1)**m cubes.
+    It costs one unit per big-int step plus one per 1024 cubes, then one per
+    interval it emits plus one per 1024 points."""
+    embed, grow, widen, split, high, low = _layout(k, m)
+    _charge(budget, m + len(grow) + len(widen) + (((1 << k) - 1) ** m >> 10))
+    imp = bits
+    for axis in embed:  # each point to its singleton cube
+        imp = sum([(imp & mask) << shift for mask, shift in axis])
+    for a, b, slab in grow:
+        imp |= (imp << a) & (imp << b) & slab
+    wider = 0
+    for shift, lacks in widen:
+        wider |= (imp >> shift) & lacks
+    cubes = _set_bits(imp ^ wider)
+    _charge(budget, len(cubes) + (k**m >> 10))
+    found = []
+    for c in cubes:
+        h, l = divmod(c, split)
+        (hm, hp), (lm, lp) = high[h], low[l]
+        found.append((hp & lp, hm + lm))
+    return found
+
+
 def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[tuple[int, tuple]]:
     """Maximal intervals of carrier bits over m variables, as unordered
     (point bitset, factor masks) pairs."""
     key = (bits, m)
     if key in memo:
         return memo[key]
+    if m > 1 and k <= _SIEVE_K and ((1 << k) - 1) ** m <= _SIEVE_CUBES:
+        found = memo[key] = _sieve(k, bits, m, budget)
+        return found
     block = k ** (m - 1)
     # a subproblem, an intersection or a candidate costs one unit plus one
     # per 1024 points of its bitsets, so the cap bounds memory too
@@ -158,12 +250,12 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
                     shifts.append(v * block)
             subs = _maximal(k, x, m - 1, memo, budget)
             _charge(budget, len(subs) * unit)
-            # an I' that fits a further cofactor is emitted from a smaller X
-            found += [
-                (sum(map(sub.__lshift__, shifts)), (own,) + masks)
-                for sub, masks in subs
-                if all(sub & o for o in outside)
-            ]
+            if outside:  # an I' that fits a further cofactor is emitted from a smaller X
+                subs = [(sub, masks) for sub, masks in subs if all(map(sub.__and__, outside))]
+            if len(shifts) == 1:
+                found += [(sub << shifts[0], (own,) + masks) for sub, masks in subs]
+            else:
+                found += [(sum(map(sub.__lshift__, shifts)), (own,) + masks) for sub, masks in subs]
     memo[key] = found
     return found
 

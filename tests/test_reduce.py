@@ -20,6 +20,7 @@ from kdnf.core import UNDEFINED
 from kdnf.oracle import oracle_maximal_intervals
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
+from .instances import star_up_closure
 
 
 def carrier(k, n, pts):
@@ -253,22 +254,28 @@ class TestReduceWorkCap:
         assert "reduce stage" in capsys.readouterr().err
 
 
-# (k, n, seed) -> (work units the call uses, terms out), recorded before the
-# emission step was rewritten: the cap refuses at exactly the same inputs
+# (k, n, seed) -> (work units the call uses, terms out).  The first three are
+# sieved whole (see kdnf.reduce._sieve) and k=2 n=12 below its two top
+# splits; (5, 3, 1) runs the splitting recursion alone and keeps the figure
+# it had before the sieve came in
 REDUCE_UNITS = {
-    (2, 10, 0): (10996, 573),
-    (3, 5, 0): (3638, 226),
-    (4, 4, 0): (6945, 430),
-    (2, 12, 3): (81279, 2930),
+    (2, 10, 0): (671, 573),
+    (3, 5, 0): (342, 226),
+    (4, 4, 0): (794, 430),
+    (2, 12, 3): (30116, 2930),
     (5, 3, 1): (2635, 193),
 }
+
+
+def _random_table(k, n, seed):
+    rng = random.Random(f"s4:{k}:{n}:{seed}")
+    return KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
 
 
 @pytest.mark.parametrize("k,n,s", sorted(REDUCE_UNITS))
 def test_reduce_work_units_are_pinned(k, n, s, monkeypatch):
     units, terms = REDUCE_UNITS[k, n, s]
-    rng = random.Random(f"s4:{k}:{n}:{s}")
-    f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    f = _random_table(k, n, s)
     monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", units)
     assert len(reduced_dnf(f).dnf) == terms
     monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", units - 1)
@@ -276,10 +283,10 @@ def test_reduce_work_units_are_pinned(k, n, s, monkeypatch):
         reduced_dnf(f)
 
 
-@pytest.mark.parametrize("k,n,table_seed", [(2, 12, "s4:2:12:3"), (3, 7, "s4:3:7:0")])
+@pytest.mark.parametrize("k,n,table_seed", [(2, 12, "s4:2:12:3"), (3, 7, "s4:3:7:0"), (4, 4, "s4:4:4:0")])
 def test_emitted_bits_are_the_terms_maximal_intervals(k, n, table_seed):
     # carriers with blocks of 2048 and 729 points at the top, so an emitted
-    # bitset's copies sit far apart
+    # bitset's copies sit far apart, and one that is sieved whole
     from kdnf.reduce import _interval_bits
 
     rng = random.Random(table_seed)
@@ -307,3 +314,83 @@ def test_bits_where_matches_a_per_index_reference(k, n, seed):
     for lo, hi in bounds:
         expected = sum(1 << i for i, v in enumerate(table) if lo <= v < hi)
         assert _bits_where(table, lo, hi) == expected, (lo, hi)
+
+
+@pytest.mark.parametrize("k,n,seed,terms", [(6, 4, 0, 10069), (8, 3, 0, 4460), (2, 14, 0, 14373)])
+def test_reduce_answers_under_the_default_cap(k, n, seed, terms):
+    assert len(reduced_dnf(_random_table(k, n, seed)).dnf) == terms
+
+
+@pytest.mark.parametrize("k,n,seed", [(2, 16, 0), (4, 7, 0)])
+def test_reduce_refuses_past_the_default_cap(k, n, seed):
+    with pytest.raises(CapacityError, match="reduce stage"):
+        reduced_dnf(_random_table(k, n, seed))
+
+
+def _splitting_maximal(k, bits, m, memo):
+    """Maximal intervals by cofactor splitting down to one variable, without
+    the sieve or the work cap: the reference for kdnf.reduce._maximal."""
+    key = (bits, m)
+    if key not in memo:
+        block = k ** (m - 1)
+        found = []
+        if m == 1:
+            found = [(bits, (bits,))] if bits else []
+        else:
+            full = (1 << block) - 1
+            cofactors = [bits >> v * block & full for v in range(k)]
+            base = {c for c in cofactors if c}
+            seen, frontier = set(), base
+            while frontier:
+                seen |= frontier
+                frontier = {x & c for x in frontier for c in base} - seen - {0}
+            for x in seen:
+                own = sum(1 << v for v, c in enumerate(cofactors) if not x & ~c)
+                outside = [full ^ c for c in cofactors if x & ~c]
+                for sub, masks in _splitting_maximal(k, x, m - 1, memo):
+                    if all(sub & o for o in outside):
+                        spread = sum(sub << v * block for v in range(k) if own >> v & 1)
+                        found.append((spread, (own,) + masks))
+        memo[key] = found
+    return memo[key]
+
+
+def _shaped_table(kind, k, n, seed):
+    """A table in point-index order: uniform random values, a partial table
+    (a third UNDEFINED), the max of up-boxes over random corners (chain
+    order) or the max of star-up-closed sets (star order)."""
+    rng = random.Random(f"sieve:{kind}:{k}:{n}:{seed}")
+    pts = list(itertools.product(range(k), repeat=n))
+    if kind == "random":
+        return bytes(rng.randrange(k) for _ in pts)
+    if kind == "partial":
+        return bytes(UNDEFINED if rng.random() < 1 / 3 else rng.randrange(k) for _ in pts)
+    if kind == "chain":
+        corners = [(rng.choice(pts), rng.randrange(1, k)) for _ in range(4)]
+        return bytes(
+            max((g for a, g in corners if all(x >= y for x, y in zip(p, a))), default=0) for p in pts
+        )
+    levels = [(star_up_closure(k, n, rng.sample(pts, 3)), rng.randrange(1, k)) for _ in range(3)]
+    return bytes(max((g for up, g in levels if p in up), default=0) for p in pts)
+
+
+# whole-carrier sieving (k=2 n<=10, k=3 n<=5, k=4 n<=4), splitting down to the
+# sieve (k=2 n=11, 12, k=3 n=6, 7, k=4 n=5) and the untouched path (k=5)
+SIEVE_SHAPES = [(2, 3), (2, 10), (2, 11), (2, 12), (3, 2), (3, 5), (3, 6), (3, 7),
+                (4, 2), (4, 4), (4, 5), (5, 3)]
+
+
+@pytest.mark.parametrize("kind", ["random", "partial", "chain", "star"])
+@pytest.mark.parametrize("k,n", SIEVE_SHAPES)
+def test_maximal_matches_the_splitting_recursion(kind, k, n):
+    from kdnf.reduce import _bits_where, _maximal
+
+    for seed in range(2):
+        table = _shaped_table(kind, k, n, seed)
+        memo, reference = {}, {}
+        for gamma in sorted(set(table) - {0, UNDEFINED}):
+            carrier = _bits_where(table, gamma, 256)
+            got = _maximal(k, carrier, n, memo, [kdnf.reduce.REDUCE_CAP])
+            want = _splitting_maximal(k, carrier, n, reference)
+            assert len(got) == len(set(got))
+            assert set(got) == set(want), (kind, seed, gamma)
