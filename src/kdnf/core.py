@@ -51,8 +51,13 @@ def check_shape(k: int, n: int) -> None:
     check_alphabet(k)
     if n < 1:
         raise ValueError(f"dimension n={n} must be >= 1")
-    if n >= MAX_TABLE.bit_length() or k**n > MAX_TABLE:  # 2**n alone passes the cap there
+    if not _fits_table(k, n):
         raise CapacityError(f"k**n = {k}**{n} exceeds the dense-table cap {MAX_TABLE}")
+
+
+def _fits_table(k: int, n: int) -> bool:
+    """Whether k**n is within MAX_TABLE, for k >= 2 and n >= 1."""
+    return n < MAX_TABLE.bit_length() and k**n <= MAX_TABLE  # 2**n alone passes the cap past there
 
 
 def encode_point(p: Point, k: int) -> int:

@@ -6,6 +6,10 @@ Function file:
     comments start with "#"; blank lines are ignored.
 In total mode unlisted points take the header default (0 when absent); in
 partial mode unlisted points are undefined and "default=" is rejected.
+A canonical file (k <= 10, the header alone on the first line, every body
+line as print_function writes it, no point listed twice) is read straight
+into the dense table.  Any other file goes through a loop that validates
+line by line, which also gives every ParseError its text and line number.
 
 DNF file:
     header   :=  "k=" int " n=" int
@@ -20,6 +24,7 @@ a text cache of (variable, mask) factors that lives for one printing call.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .core import (
@@ -30,6 +35,8 @@ from .core import (
     KFunction,
     PartialKFunction,
     Point,
+    _fits_table,
+    _partial_from_table,
     all_points,
     mask_values,
 )
@@ -37,6 +44,7 @@ from .core import (
 _HEADER_RE = re.compile(
     r"k=(\d+)\s+n=(\d+)\s+mode=(total|partial)(?:\s+default=(\d+))?\s*$"
 )
+_CANONICAL_HEADER_RE = re.compile(r"k=([0-9]{1,2}) n=([0-9]{1,2}) mode=(?:total(?: default=([0-9]))?|(partial))")
 _DNF_HEADER_RE = re.compile(r"k=(\d+)\s+n=(\d+)\s*$")
 _FACTOR_RE = re.compile(r"J\{(\d+(?:,\d+)*)\}\(x(\d+)\)$")
 
@@ -60,6 +68,49 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def parse_function(text: str) -> KFunction | PartialKFunction:
     """Parse a function file into a total or partially defined function."""
+    func = _parse_canonical(text)
+    return _parse_validating(text) if func is None else func
+
+
+def _body_pattern(k: int, n: int) -> str:
+    """Body of canonical lines: n digits below k, " -> ", a digit below k.
+
+    Each line is spelled out digit by digit, so the regex engine repeats one
+    fixed-width item and keeps no backtracking state per line."""
+    digit = f"[0-{k - 1}]"
+    return f"(?:{' '.join([digit] * n)} -> {digit}\n)*"
+
+
+def _parse_canonical(text: str) -> KFunction | PartialKFunction | None:
+    """The function of a canonical file, read straight into its table; None
+    when anything is irregular, so that _parse_validating judges the file.
+
+    Canonical means k <= 10, the header alone on the first line, and every
+    body line as print_function writes it, with no point listed twice."""
+    header, _, body = text.partition("\n")
+    m = _CANONICAL_HEADER_RE.fullmatch(header)
+    if m is None:
+        return None
+    k, n, partial = int(m[1]), int(m[2]), m[4] is not None
+    fill = UNDEFINED if partial else int(m[3] or 0)
+    if not (2 <= k <= 10 and n >= 1 and _fits_table(k, n) and (partial or fill < k)):
+        return None
+    if re.fullmatch(_body_pattern(k, n), body) is None:
+        return None
+    rows = body.replace(" -> ", "").replace(" ", "").split()
+    values = {x // k: x % k for x in map(int, rows, itertools.repeat(k))}
+    if len(values) != len(rows):
+        return None  # a point listed twice
+    table = bytearray([fill]) * k**n
+    for i, v in values.items():
+        table[i] = v
+    if partial:
+        return _partial_from_table(k, n, bytes(table))
+    return KFunction(k, n, bytes(table))
+
+
+def _parse_validating(text: str) -> KFunction | PartialKFunction:
+    """Parse any function file line by line, naming the first fault found."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError(1, "missing header")
@@ -94,9 +145,9 @@ def parse_function(text: str) -> KFunction | PartialKFunction:
             raise ParseError(line_no, f"expected {n} coordinates, got {len(coords)}")
         for x in coords:
             if not 0 <= x < k:
-                raise ParseError(line_no, f"coordinate {x} >= k")
+                raise ParseError(line_no, f"coordinate {x} {_out_of_range(x, k)}")
         if not 0 <= value < k:
-            raise ParseError(line_no, f"value {value} >= k")
+            raise ParseError(line_no, f"value {value} {_out_of_range(value, k)}")
         if coords in assignments:
             raise ParseError(line_no, f"duplicate point {' '.join(map(str, coords))}")
         assignments[coords] = value
@@ -104,6 +155,10 @@ def parse_function(text: str) -> KFunction | PartialKFunction:
     if mode == "total":
         return KFunction.from_map(k, n, assignments, default=default)
     return PartialKFunction(k, n, assignments)
+
+
+def _out_of_range(x: int, k: int) -> str:
+    return ">= k" if x >= k else f"outside [0, {k - 1}]"
 
 
 def print_function(func: KFunction | PartialKFunction) -> str:

@@ -316,6 +316,19 @@ def test_bits_where_matches_a_per_index_reference(k, n, seed):
         assert _bits_where(table, lo, hi) == expected, (lo, hi)
 
 
+def test_set_bit_scans_agree():
+    from kdnf.reduce import _peeled_bits, _set_bits, _text_bits
+
+    rng = random.Random("set-bits")
+    ints = [0, 1, 1 << 16806, (1 << 300) - 1]
+    for width in (8, 64, 1000, 16807):
+        for count in (1, 2, 127, 128, width // 2):
+            ints.append(sum(1 << i for i in rng.sample(range(width), min(count, width))))
+    for bits in ints:
+        expected = [i for i in range(bits.bit_length()) if bits >> i & 1]
+        assert _peeled_bits(bits) == _text_bits(bits) == _set_bits(bits) == expected
+
+
 @pytest.mark.parametrize("k,n,seed,terms", [(6, 4, 0, 10069), (8, 3, 0, 4460), (2, 14, 0, 14373)])
 def test_reduce_answers_under_the_default_cap(k, n, seed, terms):
     assert len(reduced_dnf(_random_table(k, n, seed)).dnf) == terms

@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 
 from kdnf import (
+    CapacityError,
     Dnf,
     ElementaryConjunction,
     Interval,
@@ -18,7 +20,9 @@ from kdnf import (
     print_function,
     reduced_dnf,
 )
-from kdnf.core import mask_values
+import kdnf.textio
+from kdnf.core import all_points, mask_values
+from kdnf.textio import _parse_canonical
 
 from .conftest import STAR_EXAMPLE_POINTS, ec, kfunctions
 
@@ -67,6 +71,8 @@ class TestParseFunction:
             ("k=3 n=2 mode=total\n1 -> 1\n", "expected 2 coordinates"),
             ("k=3 n=2 mode=total\n1 3 -> 1\n", "coordinate 3 >= k"),
             ("k=3 n=2 mode=total\n1 1 -> 3\n", "value 3 >= k"),
+            ("k=3 n=2 mode=total\n-1 2 -> 1\n", "line 2: coordinate -1 outside [0, 2]"),
+            ("k=3 n=2 mode=total\n1 1 -> -1\n", "line 2: value -1 outside [0, 2]"),
             ("k=3 n=2 mode=total\n1 1 -> 1\n1 1 -> 2\n", "duplicate point"),
             ("k=3 n=2 mode=total\na b -> 1\n", "integers"),
         ],
@@ -80,6 +86,143 @@ class TestParseFunction:
         with pytest.raises(ParseError) as err:
             parse_function("k=3 n=2 mode=total\n0 0 -> 1\n0 9 -> 1\n")
         assert err.value.line_no == 3
+
+
+def _reference_parse(text):
+    """The validating loop parse_function had before it read canonical files
+    straight into the table: every file takes it, and it names the first
+    fault found."""
+    lines = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((i, line))
+    if not lines:
+        raise ParseError(1, "missing header")
+    line_no, header = lines[0]
+    m = re.match(r"k=(\d+)\s+n=(\d+)\s+mode=(total|partial)(?:\s+default=(\d+))?\s*$", header)
+    if not m:
+        raise ParseError(line_no, "malformed header, expected 'k=K n=N mode=total|partial'")
+    k, n, mode = int(m.group(1)), int(m.group(2)), m.group(3)
+    default = int(m.group(4)) if m.group(4) is not None else None
+    if not 2 <= k <= 16:
+        raise ParseError(line_no, f"k={k} outside [2, 16]")
+    if n < 1:
+        raise ParseError(line_no, f"n={n} must be >= 1")
+    if mode == "partial" and default is not None:
+        raise ParseError(line_no, "default= is only meaningful in total mode")
+    if default is None:
+        default = 0
+    if not 0 <= default < k:
+        raise ParseError(line_no, f"default value {default} >= k")
+    assignments = {}
+    for line_no, line in lines[1:]:
+        if "->" not in line:
+            raise ParseError(line_no, "expected 'x1 ... xn -> value'")
+        left, _, right = line.partition("->")
+        try:
+            coords = tuple(int(tok) for tok in left.split())
+            value = int(right.strip())
+        except ValueError:
+            raise ParseError(line_no, "coordinates and value must be integers") from None
+        if len(coords) != n:
+            raise ParseError(line_no, f"expected {n} coordinates, got {len(coords)}")
+        for x in coords:
+            if not 0 <= x < k:
+                raise ParseError(line_no, f"coordinate {x} " + (">= k" if x >= k else f"outside [0, {k - 1}]"))
+        if not 0 <= value < k:
+            raise ParseError(line_no, f"value {value} " + (">= k" if value >= k else f"outside [0, {k - 1}]"))
+        if coords in assignments:
+            raise ParseError(line_no, f"duplicate point {' '.join(map(str, coords))}")
+        assignments[coords] = value
+    if mode == "total":
+        return KFunction.from_map(k, n, assignments, default=default)
+    return PartialKFunction(k, n, assignments)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, CapacityError) as err:
+        return type(err), str(err)
+
+
+def _canonical_files(k, seed):
+    """Seeded canonical files of one alphabet, n <= 4: total with and without
+    default=, partial, and header-only, listing points in a shuffled order."""
+    rng = random.Random(f"canonical:{k}:{seed}")
+    n = rng.choice([n for n in range(1, 5) if k**n <= 1000])
+    points = rng.sample(list(all_points(k, n)), rng.randint(0, min(k**n, 40)))
+    body = "".join(f"{' '.join(map(str, p))} -> {rng.randrange(k)}\n" for p in points)
+    return [
+        f"k={k} n={n} mode=total\n" + body,
+        f"k={k} n={n} mode=total default={rng.randrange(k)}\n" + body,
+        f"k={k} n={n} mode=partial\n" + body,
+        f"k={k} n={n} mode=total\n",
+        f"k={k} n={n} mode=partial\n",
+    ]
+
+
+def _corruptions(text, rng, count):
+    """Copies of text with one byte replaced or deleted, or one line repeated."""
+    alphabet = "0123456789 ->#\t\r\n+=kndx"
+    lines = text.splitlines(keepends=True)
+    for _ in range(count):
+        i = rng.randrange(len(text))
+        yield text[:i] + rng.choice(alphabet) + text[i + 1 :]
+        yield text[:i] + text[i + 1 :]
+        j = rng.randrange(len(lines))
+        yield "".join(lines[: j + 1] + lines[j:])
+
+
+class TestCanonicalPath:
+    """parse_function reads canonical files straight into the table and
+    must agree with the validating loop on every input."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_valid_files_read_directly_match_the_loop(self, k, seed, monkeypatch):
+        expected = [_reference_parse(text) for text in _canonical_files(k, seed)]
+        monkeypatch.setattr(kdnf.textio, "_parse_validating", None)  # the loop must not run
+        for text, func in zip(_canonical_files(k, seed), expected):
+            parsed = parse_function(text)
+            assert type(parsed) is type(func) and parsed == func, text
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_corrupted_files_match_the_loop(self, k):
+        rng = random.Random(f"corrupt:{k}")
+        for text in _canonical_files(k, 0):
+            for bad in _corruptions(text, rng, 30):
+                assert _outcome(parse_function, bad) == _outcome(_reference_parse, bad), bad
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# comment\nk=2 n=2 mode=total\n1 1 -> 1\n",
+            "k=2 n=2 mode=total  # header\n1 1 -> 1\n",
+            "k=2 n=2 mode=total\n\n1 1 -> 1\n",
+            "k=2 n=2 mode=total\r\n1 1 -> 1\r\n",
+            "k=2 n=2 mode=total\n1\t1 -> 1\n",
+            "k=2 n=2 mode=total\n+1 1 -> 1\n",
+            "k=2 n=2 mode=total\n1 1 -> 1",
+            "k=2  n=2 mode=total\n1 1 -> 1\n",
+        ],
+    )
+    def test_irregular_valid_files_take_the_loop(self, text):
+        assert _parse_canonical(text) is None
+        assert parse_function(text) == _reference_parse(text) == KFunction(2, 2, bytes([0, 0, 0, 1]))
+
+    @pytest.mark.parametrize("k", range(11, 17))
+    def test_two_digit_alphabets_still_parse(self, k):
+        rng = random.Random(f"wide:{k}")
+        table = bytes(rng.randrange(k) for _ in range(k * k))
+        text = print_function(KFunction(k, 2, table))
+        assert _parse_canonical(text) is None
+        assert parse_function(text) == _reference_parse(text) == KFunction(k, 2, table)
+
+    def test_table_cap_is_checked_before_reading(self):
+        with pytest.raises(CapacityError, match=r"^k\*\*n = 2\*\*30 exceeds the dense-table cap 1048576$"):
+            parse_function("k=2 n=30 mode=total\n")
 
 
 class TestPrintFunction:
