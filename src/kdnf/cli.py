@@ -15,7 +15,7 @@ from pathlib import Path
 from .core import CapacityError, KFunction
 from .minimize import METRIC_RANK, METRIC_TERMS, absorption_witness, dead_end_dnfs, minimize_dnf
 from .monotone import count_monotone_exact, monotone_witness, psi_estimate, star_order, total_order
-from .reduce import reduced_dnf, reduced_dnf_partial
+from .reduce import reduced_dnf
 from .textio import ParseError, parse_dnf, parse_function, parse_term, print_dnf
 
 EXIT_OK = 0
@@ -56,9 +56,7 @@ def _order(name: str, k: int):
 
 
 def _cmd_reduce(args) -> int:
-    func = parse_function(_read(args.file))
-    pool = reduced_dnf(func) if isinstance(func, KFunction) else reduced_dnf_partial(func)
-    sys.stdout.write(print_dnf(pool.dnf))
+    sys.stdout.write(print_dnf(reduced_dnf(parse_function(_read(args.file))).dnf))
     return EXIT_OK
 
 

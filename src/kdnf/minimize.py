@@ -312,11 +312,17 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
 
     Cost order is lexicographic: primary objective, secondary objective, then
     the sorted tuple of the chosen terms' canonical keys, so the optimum is
-    unique.  Columns (candidates) are numbered by descending key, and a cover
-    is an int bitset of columns.  Two covers of equal objectives have equally
-    many terms (one objective counts them), and of two sorted key tuples of
-    equal length the smaller holds the least key of the symmetric
-    difference; so the better cover is the larger int.
+    unique.  Each column's (primary, secondary) pair is folded into one int
+    cost, w * primary + secondary, with w one above the sum of the level's
+    secondaries.  The fold is exact: one objective is 1 on every column (see
+    _term_cost), so a column costs no more than another on both objectives
+    exactly when it costs no more; and every sum the search compares is over
+    distinct columns (the chosen ones, one per bound row, the one under
+    test), so its secondary part stays below w.  Columns (candidates) are
+    numbered by descending key, and a cover is an int bitset of columns.  Two
+    covers of equal cost have equally many terms (one objective counts them),
+    and of two sorted key tuples of equal length the smaller holds the least
+    key of the symmetric difference; so the better cover is the larger int.
 
     Each step below keeps the optimum:
 
@@ -324,28 +330,27 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
       holder, and the rows.  A row holding another row's holders is covered
       whenever that one is, so it is dropped.
     - Column i is dropped when an allowed column j covers all of its rows,
-      costs no more on both objectives, and has a smaller key (j > i).  In a
-      cover holding i, j in place of i (or no i at all, when j is already
-      there) still covers and costs no more; at equal cost the cover gains
-      bit j and loses the lower bit i, so it is the larger int.  The optimum
-      never holds i.
+      costs no more, and has a smaller key (j > i).  In a cover holding i, j
+      in place of i (or no i at all, when j is already there) still covers
+      and costs no more; at equal cost the cover gains bit j and loses the
+      lower bit i, so it is the larger int.  The optimum never holds i.
 
     At the root the three repeat until nothing changes (the cyclic core).
     The search runs in pre-order on an explicit stack whose entries hold the
-    uncovered rows, the allowed and the chosen columns as ints, so nothing is
-    copied per child.  Each node takes its essential columns, then bounds
-    its completions below: rows with pairwise disjoint holder sets, picked
-    greedily (those meeting the fewest other rows first) need distinct
-    columns, so each adds its cheapest holder on each objective.  A column
-    meets at most one of those rows, so swapping its row's charge for its own
-    cost bounds every completion that takes it; columns bounded strictly
-    above the best cover, and the dominated ones, are barred, which may make
-    new essentials.  Pruning needs a bound strictly worse than the best
-    cover's objectives, so ties still reach the key comparison; at a tie, a
-    completion takes one cheapest holder per bound row and nothing else, so
-    the node is pruned when even the highest such columns do not beat the
-    best cover.  The node then branches on the row with the fewest holders,
-    each later sibling barring the earlier ones' columns.
+    uncovered rows, the allowed and the chosen columns as ints, and the
+    chosen cost, so nothing is copied per child.  Each node takes its
+    essential columns, then bounds its completions below: rows with pairwise
+    disjoint holder sets, picked greedily (those meeting the fewest other
+    rows first) need distinct columns, so each adds its cheapest holder's
+    cost.  A column meets at most one of those rows, so swapping its row's
+    charge for its own cost bounds every completion that takes it; columns
+    bounded strictly above the best cover, and the dominated ones, are
+    barred, which may make new essentials.  Pruning needs a bound strictly
+    above the best cover's cost, so ties still reach the key comparison; at
+    a tie, a completion takes one cheapest holder per bound row and nothing
+    else, so the node is pruned when even the highest such columns do not
+    beat the best cover.  The node then branches on the row with the fewest
+    holders, each later sibling barring the earlier ones' columns.
 
     The budget counts work units: one per node, plus one per row and per
     (row, holder) pair each pass over a node's rows touches, plus at the
@@ -354,12 +359,14 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     1 + m // 1024, as every int operation on a set of columns costs that
     much more.  A level its essentials cover costs one charge.
     """
-    # column c is the term of the c-th largest key, so that on equal objectives
-    # the cover of the smaller sorted key tuple is the larger int bitset
+    # column c is the term of the c-th largest key, so that at equal cost the
+    # cover of the smaller sorted key tuple is the larger int bitset
     order = sorted(range(len(level.candidates)), key=lambda i: level.candidates[i].sort_key(), reverse=True)
     terms = [level.candidates[i] for i in order]
     covers = [level.covers[i] for i in order]
-    cost_p, cost_s = zip(*(_term_cost(t, metric) for t in terms))
+    pairs = [_term_cost(t, metric) for t in terms]
+    w = 1 + sum(s for _, s in pairs)
+    cost = [w * p + s for p, s in pairs]
     left = budget[0]
     wide = 1 + len(terms) // 1024  # units per charge, see the docstring
 
@@ -377,18 +384,13 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     if not rows:
         return indices(taken)
 
-    # columns by cost, as bitsets: primary[v] and secondary[v] cost v on that
-    # objective (keys ascending); joint is the ascending list of (primary,
-    # secondary) pairs, dearer[t] the columns whose pair is joint[t] or later,
-    # and no_dearer[pair] the columns costing no more than pair on either one
-    primary = {v: sum(1 << c for c, x in enumerate(cost_p) if x == v) for v in sorted(set(cost_p))}
-    secondary = {v: sum(1 << c for c, x in enumerate(cost_s) if x == v) for v in sorted(set(cost_s))}
-    joint = sorted(set(zip(cost_p, cost_s)))
-    dearer = list(itertools.accumulate(
-        (primary[a] & secondary[b] for a, b in reversed(joint)), operator.or_, initial=0))[::-1]
-    no_dearer = {
-        (a, b): sum(primary[x] & secondary[y] for x, y in joint if x <= a and y <= b) for a, b in joint
-    }
+    # columns by cost, as bitsets: at_cost[t] the columns costing costs[t]
+    # (ascending), dearer[t] those costing costs[t] or more, and cheaper[v]
+    # those costing v or less
+    costs = sorted(set(cost))
+    at_cost = [sum(1 << c for c, x in enumerate(cost) if x == v) for v in costs]
+    dearer = list(itertools.accumulate(reversed(at_cost), operator.or_, initial=0))[::-1]
+    cheaper = dict(zip(costs, itertools.accumulate(at_cost, operator.or_)))
 
     def dominated(columns: int, rows: int, allowed: int) -> int:
         """The columns that an allowed column of smaller key dominates on the
@@ -401,7 +403,7 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
                 low = x & -x
                 x ^= low
                 over &= kept[low.bit_length() - 1]
-            if (over & no_dearer[cost_p[i], cost_s[i]]) >> i + 1:
+            if (over & cheaper[cost[i]]) >> i + 1:
                 out |= 1 << i
         return out
 
@@ -441,15 +443,15 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
             near |= cols[low.bit_length() - 1]
         return (near & free).bit_count()
 
-    bp = bs = math.inf  # objectives of the best cover found
+    least = math.inf  # cost of the best cover found
     best = 0  # its columns
-    stack = [(every, alive, taken, sum(cost_p[c] for c in _set_bits(taken)),
-              sum(cost_s[c] for c in _set_bits(taken)))]  # uncovered rows, allowed and chosen columns, p, s
+    # uncovered rows, allowed and chosen columns, and the chosen ones' cost
+    stack = [(every, alive, taken, sum(cost[c] for c in _set_bits(taken)))]
     while stack:
-        free, allowed, chosen, p, s = stack.pop()
+        free, allowed, chosen, spent = stack.pop()
         spend(1)
         while True:  # again after taking essential columns or excluding columns
-            if p > bp or (p == bp and s > bs):
+            if spent > least:
                 break
             spend(free.bit_count())
             ess = reach = 0
@@ -469,13 +471,12 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
                 if ess:
                     for c in _set_bits(ess):
                         free &= ~cols[c]
-                        p += cost_p[c]
-                        s += cost_s[c]
+                        spent += cost[c]
                     chosen |= ess
                     continue
                 if not free:
-                    if (p, s) < (bp, bs) or chosen > best:
-                        bp, bs, best = p, s, chosen
+                    if spent < least or chosen > best:
+                        least, best = spent, chosen
                     break
                 spend(sum(map(int.bit_count, held)))
                 degree = {h: met(h, free) for h in held}
@@ -483,32 +484,28 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
                 # of them; bound with the rows meeting the fewest others first
                 branch = min(held, key=lambda h: (h.bit_count(), -degree[h]))
                 held.sort(key=lambda h: (degree[h], h.bit_count()))
-                used = lp = ls = top = 0
+                used = bound = top = 0
                 charged = []  # the bound's rows with their charges
                 for h in held:
                     if not h & used:  # disjoint from the bound's rows so far
                         used |= h
-                        cp = next(v for v, bits in primary.items() if h & bits)
-                        cs = next(v for v, bits in secondary.items() if h & bits)
-                        lp += cp
-                        ls += cs
-                        charged.append((h, cp, cs))
-                        cheapest = h & primary[cp] & secondary[cs]
-                        if cheapest:
-                            top |= 1 << cheapest.bit_length() - 1
-                bound = (p + lp, s + ls)
-                if bound > (bp, bs):
+                        t = next(t for t, bits in enumerate(at_cost) if h & bits)
+                        bound += costs[t]
+                        charged.append((h, costs[t]))
+                        top |= 1 << (h & at_cost[t]).bit_length() - 1
+                bound += spent
+                if bound > least:
                     break
-                # a cover of the bound's objectives takes one cheapest column
-                # per bound row and nothing else, so its bitset is at most top
-                if bound == (bp, bs) and chosen | top <= best:
+                # a cover of the bound's cost takes one cheapest column per
+                # bound row and nothing else, so its bitset is at most top
+                if bound == least and chosen | top <= best:
                     break
                 # a column meets at most one bound row, so taking it costs at
                 # least the bound with that row's charge replaced by its own
-                slack = (bp - bound[0], bs - bound[1])
-                barred = reach & ~used & dearer[bisect.bisect_right(joint, slack)]
-                for h, cp, cs in charged:
-                    barred |= h & dearer[bisect.bisect_right(joint, (slack[0] + cp, slack[1] + cs))]
+                slack = least - bound
+                barred = reach & ~used & dearer[bisect.bisect_right(costs, slack)]
+                for h, charge in charged:
+                    barred |= h & dearer[bisect.bisect_right(costs, slack + charge)]
                 barred |= dominated(reach & ~barred, free, allowed & ~barred)
                 if barred:
                     allowed &= ~barred
@@ -518,8 +515,7 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
                 barred = branch
                 for c in reversed(kids):  # pushed last first, so popped in order
                     barred ^= 1 << c
-                    stack.append((free & ~cols[c], allowed & ~barred, chosen | 1 << c,
-                                  p + cost_p[c], s + cost_s[c]))
+                    stack.append((free & ~cols[c], allowed & ~barred, chosen | 1 << c, spent + cost[c]))
             break
     return indices(best)
 

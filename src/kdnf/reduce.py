@@ -318,12 +318,11 @@ def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
     return ReducedDnf(Dnf(k, n, tuple(t for lt in levels for t in lt.terms)), tuple(levels))
 
 
-def reduced_dnf(f: KFunction) -> ReducedDnf:
-    """Reduced DNF of a total function; empty for the constant-0 function."""
-    return _reduce(f.k, f.n, f.table)
-
-
-def reduced_dnf_partial(func: PartialKFunction) -> ReducedDnf:
-    """Reduced DNF of a partially defined function.  It takes each defined
-    value on its set; undefined points are unconstrained."""
+def reduced_dnf(func: KFunction | PartialKFunction) -> ReducedDnf:
+    """Reduced DNF of a total or partially defined function; empty for the
+    constant-0 function.  It takes each defined value on its set; undefined
+    points are unconstrained."""
     return _reduce(func.k, func.n, func.table)
+
+
+reduced_dnf_partial = reduced_dnf  # alias kept for callers from before reduced_dnf took partial functions

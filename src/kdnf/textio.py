@@ -38,6 +38,7 @@ from .core import (
     _fits_table,
     _partial_from_table,
     all_points,
+    check_shape,
     mask_values,
 )
 
@@ -130,6 +131,7 @@ def _parse_validating(text: str) -> KFunction | PartialKFunction:
         default = 0
     if not 0 <= default < k:
         raise ParseError(line_no, f"default value {default} >= k")
+    check_shape(k, n)  # the table cap, before any body line is read
 
     assignments: dict[Point, int] = {}
     for line_no, line in lines[1:]:

@@ -32,6 +32,7 @@ from kdnf.core import decode_point, encode_point
 from kdnf.minimize import SUBSET_CAP, LevelCover, _best_cover, _term_cost
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
+from kdnf.reduce import _interval_bits
 from kdnf.textio import print_dnf
 
 from .conftest import ec
@@ -545,6 +546,18 @@ class TestBestCover:
         terms = [level.candidates[i] for level in levels for i in _best_cover(level, METRIC_TERMS, budget)]
         assert print_dnf(Dnf(2, 7, tuple(terms))) == CAPPED_K2N7
         assert minimize_dnf(f, METRIC_TERMS).objective_value == 26
+
+    def test_folded_cost_weighs_the_primary_above_every_secondary_sum(self):
+        # column 1 covers both points alone at rank 3, columns 3 and 5 cover
+        # them at rank 1 each: (1, 3) against (2, 2) terms and ranks.  Under
+        # rank the pair wins on its primary, though a weight of 1 on the
+        # primary would fold both covers to the same cost 4
+        masks = (1, 9, 18, 23, 26, 30)
+        candidates = tuple(ElementaryConjunction(Interval(5, (m,)), 1) for m in masks)
+        level = LevelCover(5, 1, 1, 9, candidates, tuple(_interval_bits(5, (m,)) & 9 for m in masks))
+        for metric, expected in ((METRIC_TERMS, (1,)), (METRIC_RANK, (3, 5))):
+            assert _best_cover(level, metric, [SUBSET_CAP]) == expected
+            assert reference_best_cover(level, metric, [SUBSET_CAP]) == expected
 
 
 # _best_cover's budget use and chosen candidates per level, (k, n, seed,

@@ -216,7 +216,7 @@ class TestReducedDnfPartial:
         as_partial = PartialKFunction(
             f.k, f.n, {p: f.value(p) for p in f.points()}
         )
-        assert reduced_dnf_partial(as_partial).dnf == reduced_dnf(f).dnf
+        assert reduced_dnf_partial(as_partial).dnf == reduced_dnf(as_partial).dnf == reduced_dnf(f).dnf
 
 
 @settings(max_examples=25)

@@ -21,7 +21,7 @@ from kdnf import (
     reduced_dnf,
 )
 import kdnf.textio
-from kdnf.core import all_points, mask_values
+from kdnf.core import all_points, check_shape, mask_values
 from kdnf.textio import _parse_canonical
 
 from .conftest import STAR_EXAMPLE_POINTS, ec, kfunctions
@@ -91,7 +91,7 @@ class TestParseFunction:
 def _reference_parse(text):
     """The validating loop parse_function had before it read canonical files
     straight into the table: every file takes it, and it names the first
-    fault found."""
+    fault found.  A header past the table cap is refused before the body."""
     lines = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -115,6 +115,7 @@ def _reference_parse(text):
         default = 0
     if not 0 <= default < k:
         raise ParseError(line_no, f"default value {default} >= k")
+    check_shape(k, n)
     assignments = {}
     for line_no, line in lines[1:]:
         if "->" not in line:
@@ -223,6 +224,17 @@ class TestCanonicalPath:
     def test_table_cap_is_checked_before_reading(self):
         with pytest.raises(CapacityError, match=r"^k\*\*n = 2\*\*30 exceeds the dense-table cap 1048576$"):
             parse_function("k=2 n=30 mode=total\n")
+
+    def test_table_cap_is_checked_before_the_body(self):
+        # the header's own faults come first, then the cap, then the body's
+        text = "k=2 n=30 mode=total\n" + "0 " * 30 + "-> 1\n1 -> 1 -> 1\n"  # line 3 is malformed
+        for parse in (parse_function, _reference_parse):
+            with pytest.raises(CapacityError, match=r"^k\*\*n = 2\*\*30 exceeds the dense-table cap 1048576$"):
+                parse(text)
+        with pytest.raises(ParseError, match=r"^line 1: default value 2 >= k$"):
+            parse_function("k=2 n=30 mode=total default=2\n1 -> 1 -> 1\n")
+        with pytest.raises(ParseError, match=r"^line 1: default= is only meaningful in total mode$"):
+            parse_function("k=2 n=30 mode=partial default=1\n1 -> 1 -> 1\n")
 
 
 class TestPrintFunction:
