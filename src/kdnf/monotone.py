@@ -3,7 +3,9 @@
 Two stock orders matter here: the chain 0 < 1 < ... < k-1, and the star
 order in which 0 sits below every nonzero value while nonzero values are
 pairwise incomparable.  Points compare coordinatewise; a function is
-monotone when it preserves that comparison.
+monotone when it preserves that comparison.  The check runs on level
+bitsets over point indices, one big-int step per axis, cover pair and
+value: k * n * |cover pairs| steps for any order, however many points.
 
 For chain-monotone functions the reduced DNF has a rigid shape (every factor
 an upper interval [a, k-1], one dead-end DNF, bottom corners as core points)
@@ -19,7 +21,7 @@ from collections.abc import Iterable, Iterator
 
 from .core import CapacityError, KFunction, Point, _Record, check_alphabet, check_shape, decode_point, encode_point
 from .minimize import dead_end_dnfs
-from .reduce import ReducedDnf, reduced_dnf
+from .reduce import ReducedDnf, _bits_where, _repeat, reduced_dnf
 
 COUNT_CAP = 10**8  # cap on k**(k**n), the candidate-table space of the counter
 
@@ -52,17 +54,10 @@ class ValueOrder(_Record):
             if not (0 <= low < k and 0 <= high < k):
                 raise ValueError(f"relation ({low}, {high}) outside the alphabet")
             geq[high] |= 1 << low
-        changed = True
-        while changed:
-            changed = False
+        for m in range(k):  # Warshall: whoever reaches m reaches what m does
             for i in range(k):
-                m = geq[i]
-                for j in range(k):
-                    if m >> j & 1:
-                        m |= geq[j]
-                if m != geq[i]:
-                    geq[i] = m
-                    changed = True
+                if geq[i] >> m & 1:
+                    geq[i] |= geq[m]
         return cls(k, tuple(geq))
 
     def dominates(self, a: int, b: int) -> bool:
@@ -74,20 +69,12 @@ class ValueOrder(_Record):
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """(low, high) pairs with nothing strictly between, ascending."""
-        out = []
-        for high in range(self.k):
-            for low in range(self.k):
-                if low == high or not self.dominates(high, low):
-                    continue
-                between = any(
-                    m not in (low, high)
-                    and self.dominates(high, m)
-                    and self.dominates(m, low)
-                    for m in range(self.k)
-                )
-                if not between:
-                    out.append((low, high))
-        return tuple(sorted(out))
+        k, geq = self.k, self.geq
+        return tuple(
+            (low, high) for low in range(k) for high in range(k)
+            if low != high and geq[high] >> low & 1
+            and not any(geq[high] >> m & 1 and geq[m] >> low & 1 for m in range(k) if m not in (low, high))
+        )
 
     def point_leq(self, p: Point, q: Point) -> bool:
         """Coordinatewise comparison."""
@@ -105,44 +92,57 @@ def star_order(k: int) -> ValueOrder:
 
 
 def monotone_witness(f: KFunction, order: ValueOrder) -> tuple[Point, Point] | None:
-    """A covering pair (p, q) with p <= q but f(p) not <= f(q), or None.
+    """A covering pair (p, q) with p <= q but f(p) not <= f(q), or None;
+    p is the lowest such point index, q its first axis and cover pair.
 
     Only pairs differing in one coordinate by one covering step are checked;
-    by transitivity that already decides monotonicity.
+    by transitivity that already decides monotonicity.  For axis j with
+    stride s, cover pair (low, high) and value a, the violations are the
+    points of value a with x_j = low whose neighbour (high - low) * s away
+    lies outside the up-set of a.
     """
+    if not isinstance(f, KFunction):
+        raise ValueError("monotonicity needs a total function (KFunction)")
     if order.k != f.k:
         raise ValueError("order and function alphabet mismatch")
+    k, n, table = f.k, f.n, f.table
     covers = order.cover_pairs()
-    for p in f.points():
-        fp = f.value(p)
-        for i, x in enumerate(p):
-            for low, high in covers:
-                if x != low:
-                    continue
-                q = p[:i] + (high,) + p[i + 1 :]
-                if not order.leq(fp, f.value(q)):
-                    return (p, q)
-    return None
+    levels = [_bits_where(table, a, a + 1) for a in range(k)]
+    ups = [sum(levels[b] for b in range(k) if order.leq(a, b)) for a in range(k)]
+    strides = [k ** (n - 1 - j) for j in range(n)]
+    bad = 0
+    for s in strides:
+        block = _repeat((1 << s) - 1, k * s, k**n // (k * s))  # the points with x_j = 0
+        for low, high in covers:
+            slab, d = block << low * s, (high - low) * s
+            for level, up in zip(levels, ups):
+                here = level & slab
+                if here:
+                    bad |= here & ~(up >> d if d > 0 else up << -d)
+    if not bad:
+        return None
+    p = (bad & -bad).bit_length() - 1
+    q = next(p + (high - low) * s for s in strides for low, high in covers
+             if p // s % k == low and not order.leq(table[p], table[p + (high - low) * s]))
+    return decode_point(p, k, n), decode_point(q, k, n)
 
 
 def is_monotone(f: KFunction, order: ValueOrder) -> bool:
     return monotone_witness(f, order) is None
 
 
-def _linear_extension(k: int, n: int, order: ValueOrder) -> list[Point]:
-    # sort by total coordinate depth (longest chain below each value), then lex
+def _linear_extension(k: int, n: int, order: ValueOrder) -> list[int]:
+    """Point indices sorted by total coordinate depth (the longest chain
+    below each value), then by index."""
     depth = [0] * k
     covers = order.cover_pairs()
-    changed = True
-    while changed:  # fixpoint; the relation is acyclic so this terminates
-        changed = False
+    for _ in range(k - 1):  # a longest chain has at most k - 1 steps
         for low, high in covers:
-            if depth[high] < depth[low] + 1:
-                depth[high] = depth[low] + 1
-                changed = True
-    pts = [decode_point(i, k, n) for i in range(k**n)]
-    pts.sort(key=lambda p: (sum(depth[x] for x in p), p))
-    return pts
+            depth[high] = max(depth[high], depth[low] + 1)
+    sums = [0]
+    for _ in range(n):
+        sums = [t + d for t in sums for d in depth]
+    return sorted(range(k**n), key=sums.__getitem__)
 
 
 def iter_monotone_functions(n: int, k: int, order: ValueOrder) -> Iterator[KFunction]:
@@ -153,28 +153,23 @@ def iter_monotone_functions(n: int, k: int, order: ValueOrder) -> Iterator[KFunc
     predecessors.  Subject to the same cap as count_monotone_exact.
     """
     check_shape(k, n)
+    if order.k != k:
+        raise ValueError("order and function alphabet mismatch")
     if (k**n) * math.log2(k) > math.log2(COUNT_CAP):
         raise CapacityError(f"k**(k**n) exceeds the counting cap {COUNT_CAP}")
     ext = _linear_extension(k, n, order)
-    position = {p: i for i, p in enumerate(ext)}
     covers = order.cover_pairs()
-    preds: list[list[int]] = []
-    for p in ext:
-        below = []
-        for i, x in enumerate(p):
-            for low, high in covers:
-                if x == high:
-                    below.append(position[p[:i] + (low,) + p[i + 1 :]])
-        preds.append(below)
-    assigned = [0] * len(ext)
+    strides = [k ** (n - 1 - j) for j in range(n)]
+    preds = [[p - (high - low) * s for s in strides for low, high in covers if p // s % k == high] for p in ext]
+    table = bytearray(k**n)
 
     def fill(i: int) -> Iterator[KFunction]:
         if i == len(ext):
-            yield KFunction.from_map(k, n, dict(zip(ext, assigned)))
+            yield KFunction(k, n, bytes(table))
             return
         for v in range(k):
-            if all(order.leq(assigned[j], v) for j in preds[i]):
-                assigned[i] = v
+            if all(order.leq(table[q], v) for q in preds[i]):
+                table[ext[i]] = v
                 yield from fill(i + 1)
 
     return fill(0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from itertools import islice
 
 import mpmath
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from kdnf import (
     CapacityError,
     KFunction,
+    PartialKFunction,
     ValueOrder,
     chain_shape_report,
     count_monotone_exact,
@@ -19,7 +21,8 @@ from kdnf import (
     star_order,
     total_order,
 )
-from kdnf.monotone import _is_upper_interval
+from kdnf.core import decode_point, encode_point
+from kdnf.monotone import COUNT_CAP, _is_upper_interval, _linear_extension
 from kdnf.oracle import oracle_is_monotone
 
 
@@ -47,6 +50,19 @@ class TestOrders:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
             ValueOrder.from_relations(3, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            ValueOrder.from_relations(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+    def test_closure_of_relations_in_any_order(self):
+        # the chain given top step first still closes to the full chain
+        order = ValueOrder.from_relations(4, [(2, 3), (1, 2), (0, 1)])
+        assert order == total_order(4)
+        assert order.geq == (0b0001, 0b0011, 0b0111, 0b1111)
+        assert ValueOrder.from_relations(3, [(2, 0)]).geq == (0b101, 0b010, 0b100)
+
+    def test_relation_outside_alphabet(self):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            ValueOrder.from_relations(3, [(0, 3)])
 
     def test_point_comparison(self):
         order = star_order(3)
@@ -238,3 +254,164 @@ class TestChainSweepShape:
             assert report.dead_end_count == 1
             assert report.dead_end_equals_reduced
             assert report.cores_exclusive
+
+
+# References: the per-point check and enumerator that the bitset witness and
+# the index enumerator replaced, kept to pin their answers and their order.
+
+
+def ref_monotone_witness(f, order):
+    covers = order.cover_pairs()
+    for p in f.points():
+        fp = f.value(p)
+        for i, x in enumerate(p):
+            for low, high in covers:
+                if x != low:
+                    continue
+                q = p[:i] + (high,) + p[i + 1 :]
+                if not order.leq(fp, f.value(q)):
+                    return (p, q)
+    return None
+
+
+def ref_linear_extension(k, n, order):
+    depth = [0] * k
+    covers = order.cover_pairs()
+    changed = True
+    while changed:
+        changed = False
+        for low, high in covers:
+            if depth[high] < depth[low] + 1:
+                depth[high] = depth[low] + 1
+                changed = True
+    pts = [decode_point(i, k, n) for i in range(k**n)]
+    pts.sort(key=lambda p: (sum(depth[x] for x in p), p))
+    return pts
+
+
+def ref_iter_monotone_functions(n, k, order):
+    ext = ref_linear_extension(k, n, order)
+    position = {p: i for i, p in enumerate(ext)}
+    covers = order.cover_pairs()
+    preds = []
+    for p in ext:
+        below = []
+        for i, x in enumerate(p):
+            for low, high in covers:
+                if x == high:
+                    below.append(position[p[:i] + (low,) + p[i + 1 :]])
+        preds.append(below)
+    assigned = [0] * len(ext)
+
+    def fill(i):
+        if i == len(ext):
+            yield KFunction.from_map(k, n, dict(zip(ext, assigned)))
+            return
+        for v in range(k):
+            if all(order.leq(assigned[j], v) for j in preds[i]):
+                assigned[i] = v
+                yield from fill(i + 1)
+
+    return fill(0)
+
+
+def orders_for(k):
+    """Chain, star and reversed chain; at k=3 also the order 2 < 0, whose
+    cover pair runs from a higher value to a lower one."""
+    out = [total_order(k), star_order(k), ValueOrder.from_relations(k, [(i + 1, i) for i in range(k - 1)])]
+    if k == 3:
+        out.append(ValueOrder.from_relations(3, [(2, 0)]))
+    return out
+
+
+def near_monotone(k, n, order, rng):
+    """A table filled greedily along a linear extension, each point taking a
+    random value above its covering predecessors (any value when none is),
+    then zero to two random entries overwritten."""
+    covers = order.cover_pairs()
+    table = {}
+    for p in ref_linear_extension(k, n, order):
+        below = [table[p[:i] + (low,) + p[i + 1 :]] for i, x in enumerate(p) for low, high in covers if x == high]
+        allowed = [v for v in range(k) if all(order.leq(b, v) for b in below)]
+        table[p] = rng.choice(allowed or range(k))
+    values = [table[p] for p in itertools.product(range(k), repeat=n)]
+    for _ in range(rng.randrange(3)):
+        values[rng.randrange(k**n)] = rng.randrange(k)
+    return KFunction.from_table(k, n, values)
+
+
+SHAPES = [(k, n) for k in range(2, 6) for n in range(1, 5) if k**n <= 625]
+
+
+class TestBitsetWitness:
+    @pytest.mark.parametrize("k,n", SHAPES)
+    def test_witness_equals_reference(self, k, n):
+        rng = random.Random(f"witness:{k}:{n}")
+        for order in orders_for(k):
+            for _ in range(25):
+                f = near_monotone(k, n, order, rng)
+                assert monotone_witness(f, order) == ref_monotone_witness(f, order)
+
+    @pytest.mark.parametrize("k,n", [(k, n) for k, n in SHAPES if k**n <= 64])
+    def test_verdict_equals_oracle(self, k, n):
+        rng = random.Random(f"oracle:{k}:{n}")
+        for order in orders_for(k):
+            for _ in range(15):
+                f = near_monotone(k, n, order, rng)
+                assert is_monotone(f, order) == oracle_is_monotone(f, order)
+
+    def test_both_verdicts_occur(self):
+        rng = random.Random("witness:3:2")
+        verdicts = {is_monotone(near_monotone(3, 2, order, rng), order) for order in orders_for(3) for _ in range(25)}
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("order", [total_order(2), star_order(2)], ids=["total", "star"])
+    def test_constant_one_k2_n20(self, order):
+        one = KFunction.constant(2, 20, 1)
+        assert monotone_witness(one, order) is None
+        top_zero = KFunction(2, 20, one.table[:-1] + bytes(1))
+        assert monotone_witness(top_zero, order) == ((0,) + (1,) * 19, (1,) * 20)
+
+    def test_order_alphabet_mismatch(self):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            monotone_witness(KFunction.constant(3, 2, 1), total_order(2))
+
+    def test_partial_function_refused(self):
+        f = PartialKFunction(3, 2, {(0, 0): 1, (2, 2): 0})
+        for call in (lambda: monotone_witness(f, total_order(3)), lambda: is_monotone(f, star_order(3)),
+                     lambda: chain_shape_report(f)):
+            with pytest.raises(ValueError, match="total function"):
+                call()
+
+
+def admitted():
+    """Every (k, n) the counting cap admits, up to k**n = 16 (k=2 n=4)."""
+    return [(k, n) for k in range(2, 17) for n in range(1, 5)
+            if k**n <= 16 and k**n * math.log2(k) <= math.log2(COUNT_CAP)]
+
+
+class TestEnumerationSequence:
+    @pytest.mark.parametrize("k,n", admitted())
+    def test_sequence_equals_reference(self, k, n):
+        # star order at k >= 6 lists millions of functions; the first 3000
+        # already pin the order
+        for order in orders_for(k):
+            got = list(islice(iter_monotone_functions(n, k, order), 3000))
+            assert got == list(islice(ref_iter_monotone_functions(n, k, order), 3000))
+
+    def test_admitted_shapes(self):
+        assert (2, 4) in admitted() and (3, 2) in admitted() and (8, 1) in admitted()
+        assert (2, 5) not in admitted() and (9, 1) not in admitted()
+
+    def test_extension_is_ordered_by_depth_then_index(self):
+        for order in orders_for(3):
+            got = _linear_extension(3, 2, order)
+            assert got == [encode_point(p, 3) for p in ref_linear_extension(3, 2, order)]
+
+    @pytest.mark.parametrize("n,k,order", [(2, 3, total_order(2)), (2, 2, star_order(3))],
+                             ids=["order-smaller", "order-larger"])
+    def test_order_alphabet_mismatch(self, n, k, order):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            count_monotone_exact(n, k, order)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            iter_monotone_functions(n, k, order)
