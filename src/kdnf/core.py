@@ -77,7 +77,7 @@ def _index(p: Point, k: int, n: int) -> int:
     return encode_point(p, k)
 
 
-def _table_from_map(k: int, n: int, assignments: Mapping[Point, int], fill: int) -> bytes:
+def _table_from_map(k: int, n: int, assignments: Mapping[Point, int], fill: int) -> bytearray:
     """Dense table holding fill at every point the assignments leave out."""
     check_shape(k, n)
     table = bytearray([fill]) * k**n
@@ -85,7 +85,7 @@ def _table_from_map(k: int, n: int, assignments: Mapping[Point, int], fill: int)
         if not 0 <= v < k:
             raise ValueError(f"value {v} outside the alphabet")
         table[_index(p, k, n)] = v
-    return bytes(table)
+    return table
 
 
 def decode_point(idx: int, k: int, n: int) -> Point:
@@ -108,20 +108,21 @@ def mask_values(mask: int) -> tuple[int, ...]:
 class _Record:
     """Base of the immutable records.
 
-    A record lists its fields in __slots__ and its __init__ sets each one
-    once through object.__setattr__.  Equality (same class, equal fields),
-    hashing and copying go over the fields named in _key, the slots unless
-    the class names fewer; repr shows those in _shown, _key unless the class
-    names fewer.  Copies call the class with _key's values, so _key follows
-    the constructor's parameters unless the class overrides __reduce__.
+    A record lists its fields in __slots__, in the order of its constructor's
+    parameters, and its __init__ sets each one once through
+    object.__setattr__.  Equality (same class, equal fields), hashing and
+    copying go over those fields; copies call the class with their values.
+    repr shows the fields named in _shown, all of them unless the class names
+    fewer.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        cls._key = getattr(cls, "_key", cls.__slots__)
-        cls._shown = getattr(cls, "_shown", cls._key)
-        cls._values = operator.attrgetter(*cls._key)
+        cls._fields = cls.__slots__ or cls._fields  # a subclass adding no slots keeps its base's
+        cls._shown = getattr(cls, "_shown", cls._fields)
+        cls._values = operator.attrgetter(*cls._fields)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -143,7 +144,7 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
-        return self.__class__, tuple(getattr(self, name) for name in self._key)
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 class Interval(_Record):
@@ -180,10 +181,6 @@ class Interval(_Record):
     @classmethod
     def full(cls, k: int, n: int) -> "Interval":
         return cls(k, ((1 << k) - 1,) * n)
-
-    @classmethod
-    def singleton(cls, k: int, p: Point) -> "Interval":
-        return cls.from_values(k, *((x,) for x in p))
 
     @property
     def n(self) -> int:
@@ -291,20 +288,30 @@ class Dnf(_Record):
         return KFunction(self.k, self.n, bytes(self.value_at(p) for p in all_points(self.k, self.n)))
 
 
+def _set_table(func: _Record, k: int, n: int, table: bytes, partial: bool) -> None:
+    """Set a function's k, n and table, the table as bytes (the very object
+    when it is bytes) checked against the shape and the entries it allows."""
+    check_shape(k, n)
+    if isinstance(table, int):  # bytes(m) would make m zero bytes
+        raise TypeError("table must be a sequence of entries, not an int")
+    table = bytes(table)
+    if len(table) != k**n:
+        raise ValueError(f"table length {len(table)} != k**n = {k ** n}")
+    defined = table.replace(bytes([UNDEFINED]), b"") if partial else table
+    if max(defined, default=0) >= k:
+        raise ValueError("table entry outside the alphabet" + (" and not UNDEFINED" if partial else ""))
+    object.__setattr__(func, "k", k)
+    object.__setattr__(func, "n", n)
+    object.__setattr__(func, "table", table)
+
+
 class KFunction(_Record):
     """Total function {0..k-1}^n -> {0..k-1} as a dense table of k**n values."""
 
     __slots__ = ("k", "n", "table")
 
     def __init__(self, k: int, n: int, table: bytes) -> None:
-        check_shape(k, n)
-        if len(table) != k**n:
-            raise ValueError(f"table length {len(table)} != k**n = {k ** n}")
-        if max(table) >= k:
-            raise ValueError("table entry outside the alphabet")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
+        _set_table(self, k, n, table, partial=False)
 
     @classmethod
     def from_table(cls, k: int, n: int, values: Iterable[int]) -> "KFunction":
@@ -335,10 +342,6 @@ class KFunction(_Record):
     def points(self) -> Iterator[Point]:
         return all_points(self.k, self.n)
 
-    def support(self) -> frozenset[Point]:
-        """Points where the function is nonzero."""
-        return frozenset(p for p in self.points() if self.value(p) != 0)
-
 
 def functions_equal(f: KFunction, g: KFunction) -> bool:
     """Pointwise table equality; mismatched shapes are an error, not False."""
@@ -357,43 +360,18 @@ class PartialKFunction(_Record):
 
     __slots__ = ("k", "n", "table")
 
-    def __init__(self, k: int, n: int, assignments: Mapping[Point, int]) -> None:
-        object.__setattr__(self, "table", _table_from_map(k, n, assignments, UNDEFINED))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
+    def __init__(self, k: int, n: int, table: bytes) -> None:
+        _set_table(self, k, n, table, partial=True)
 
     @classmethod
-    def from_level_sets(cls, k: int, n: int, levels: Mapping[int, Iterable[Point]]) -> "PartialKFunction":
-        """Build from per-value point sets; overlapping sets are an error."""
-        assignments: dict[Point, int] = {}
-        for v, pts in levels.items():
-            for p in pts:
-                p = tuple(p)
-                if p in assignments:
-                    raise ValueError(f"point {p} assigned to two defined sets")
-                assignments[p] = v
-        return cls(k, n, assignments)
+    def from_map(cls, k: int, n: int, assignments: Mapping[Point, int]) -> "PartialKFunction":
+        return cls(k, n, _table_from_map(k, n, assignments, UNDEFINED))
 
     def __repr__(self) -> str:
         defined = len(self.table) - self.table.count(UNDEFINED)
         return f"PartialKFunction(k={self.k}, n={self.n}, defined={defined})"
 
-    def __reduce__(self) -> tuple:
-        # the constructor takes assignments, so a copy is rebuilt from the table
-        return _partial_from_table, (self.k, self.n, self.table)
-
     def value(self, p: Point) -> int | None:
         """Defined value at p, or None when p is undefined."""
         v = self.table[_index(p, self.k, self.n)]
         return None if v == UNDEFINED else v
-
-    def items(self) -> tuple[tuple[Point, int], ...]:
-        """(point, value) over the defined points, in point-index order."""
-        return tuple((p, v) for p, v in zip(all_points(self.k, self.n), self.table) if v != UNDEFINED)
-
-
-def _partial_from_table(k: int, n: int, table: bytes) -> PartialKFunction:
-    func = object.__new__(PartialKFunction)
-    for name, value in zip(PartialKFunction.__slots__, (k, n, table)):
-        object.__setattr__(func, name, value)
-    return func

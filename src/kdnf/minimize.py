@@ -38,14 +38,15 @@ import operator
 from collections.abc import Callable, Sequence
 
 from .core import (
+    MAX_TABLE,
     CapacityError,
     Dnf,
     ElementaryConjunction,
     KFunction,
     Point,
+    _fits_table,
     _Record,
     decode_point,
-    mask_values,
 )
 from .reduce import ReducedDnf, _bits_where, _interval_bits, _set_bits, reduced_dnf
 
@@ -90,7 +91,9 @@ def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConj
     zeros outside the support can only be covered by a term whose support
     lies inside ec's, and such a term then covers the whole fibre over its
     support.  So the disjunction absorbs ec exactly when the terms supported
-    inside ec's support cover ec's factor combinations on that support.
+    inside ec's support cover ec's factor combinations on that support: on
+    bitsets over the support's sub-lattice (capped like a dense table), the OR
+    of those terms' projections holds ec's projection.
 
     Equivalently: widening the support-contained terms' remaining factors to
     {1..k-1} covers every point whose support coordinates are nonzero.  Note
@@ -107,17 +110,15 @@ def absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConj
     if not _is_zero_free(ec):
         raise ValueError("conjunction is not zero-free shaped")
 
-    support = ec.support()
-    pos = frozenset(support)
-    relevant = [t for t in terms if set(t.support()) <= pos]
-    axes = [mask_values(ec.interval.factors[j]) for j in support]
-    for combo in itertools.product(*axes):
-        if not any(
-            all(t.interval.factors[j] >> x & 1 for x, j in zip(combo, support))
-            for t in relevant
-        ):
-            return False
-    return True
+    k, support = ec.k, ec.support()
+    if not _fits_table(k, len(support)):
+        raise CapacityError(f"support sub-lattice {k}**{len(support)} exceeds the dense-table cap {MAX_TABLE}")
+    inside = set(support)
+    reach = 0  # points of the support sub-lattice that support-contained terms cover
+    for t in terms:
+        if inside.issuperset(t.support()):
+            reach |= _interval_bits(k, tuple(t.interval.factors[j] for j in support))
+    return not _interval_bits(k, tuple(ec.interval.factors[j] for j in support)) & ~reach
 
 
 class LevelCover(_Record):
@@ -163,6 +164,8 @@ def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
     set of gamma and those of level > gamma stay off it, so terms of exactly
     level gamma cover it: every cover problem is solvable.
     """
+    if not isinstance(f, KFunction):
+        raise ValueError("covering needs a total function (KFunction)")
     if pool.k != f.k or pool.n != f.n:
         raise ValueError("pool and function shape mismatch")
     k, n = f.k, f.n

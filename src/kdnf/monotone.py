@@ -165,7 +165,7 @@ def iter_monotone_functions(n: int, k: int, order: ValueOrder) -> Iterator[KFunc
 
     def fill(i: int) -> Iterator[KFunction]:
         if i == len(ext):
-            yield KFunction(k, n, bytes(table))
+            yield KFunction(k, n, table)
             return
         for v in range(k):
             if all(order.leq(table[q], v) for q in preds[i]):

@@ -35,10 +35,11 @@ def oracle_maximal_intervals(carrier: CarrierSet) -> list[Interval]:
     if (2**k - 1) ** n > INTERVAL_CAP:
         raise CapacityError("too many candidate intervals for the oracle")
     masks = range(1, 1 << k)
+    points = carrier.points
     inside = []
     for combo in itertools.product(masks, repeat=n):
         iv = Interval(k, combo)
-        if all(p in carrier.points for p in iv.points()):
+        if all(p in points for p in iv.points()):
             inside.append(iv)
     maximal = [
         iv
@@ -73,7 +74,7 @@ def oracle_minimize(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationRes
     chosen_terms: list[ElementaryConjunction] = []
     for gamma in values:
         level = [p for p in all_points(f.k, f.n) if f.value(p) == gamma]
-        carrier = frozenset(p for p in all_points(f.k, f.n) if f.value(p) >= gamma)
+        carrier = sum(1 << i for i, v in enumerate(f.table) if v >= gamma)
         pool = [
             ElementaryConjunction(iv, gamma)
             for iv in oracle_maximal_intervals(CarrierSet(f.k, f.n, carrier))

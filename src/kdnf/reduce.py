@@ -58,7 +58,6 @@ from .core import (
     _Record,
     check_shape,
     decode_point,
-    encode_point,
 )
 
 REDUCE_CAP = 10**6  # work units (see _maximal and _sieve) per reduce call
@@ -66,22 +65,22 @@ _SIEVE_K, _SIEVE_CUBES = 4, 1 << 16  # subproblems _maximal sieves whole
 
 
 class CarrierSet(_Record):
-    """Region that an interval must stay inside; bits is its point bitset."""
+    """Region that an interval must stay inside, as the bitset of its point
+    indices; points decodes it on each read."""
 
-    __slots__ = ("k", "n", "points", "bits")
-    _key = ("k", "n", "points")
+    __slots__ = ("k", "n", "bits")
 
-    def __init__(self, k: int, n: int, points: frozenset[Point]) -> None:
+    def __init__(self, k: int, n: int, bits: int) -> None:
         check_shape(k, n)
-        marks = bytearray(b"0") * k**n
-        for p in points:
-            if len(p) != n:
-                raise ValueError(f"point {p} outside the {k}**{n} lattice")
-            marks[encode_point(p, k)] = ord("1")  # encode_point checks coordinates
+        if bits < 0 or bits.bit_length() > k**n:
+            raise ValueError(f"bits outside the {k}**{n} lattice")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "bits", int(marks[::-1], 2))
+        object.__setattr__(self, "bits", bits)
+
+    @property
+    def points(self) -> frozenset[Point]:
+        return _points_of(self.bits, self.k, self.n)
 
 
 class LevelTerms(_Record):
@@ -89,8 +88,7 @@ class LevelTerms(_Record):
 
     The level set, the carrier and each term's interval (term_bits, aligned
     with terms) are kept as the int bitsets over point indices that the
-    reduce stage computed; level_points and carrier decode them into points
-    only when they are read.
+    reduce stage computed; carrier wraps carrier_bits as a CarrierSet.
     """
 
     __slots__ = ("k", "n", "gamma", "level_bits", "carrier_bits", "terms", "term_bits")
@@ -107,12 +105,8 @@ class LevelTerms(_Record):
         object.__setattr__(self, "term_bits", term_bits)
 
     @property
-    def level_points(self) -> frozenset[Point]:
-        return _points_of(self.level_bits, self.k, self.n)
-
-    @property
     def carrier(self) -> CarrierSet:
-        return CarrierSet(self.k, self.n, _points_of(self.carrier_bits, self.k, self.n))
+        return CarrierSet(self.k, self.n, self.carrier_bits)
 
 
 class ReducedDnf(_Record):

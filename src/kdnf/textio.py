@@ -34,9 +34,7 @@ from .core import (
     Interval,
     KFunction,
     PartialKFunction,
-    Point,
     _fits_table,
-    _partial_from_table,
     all_points,
     check_shape,
     mask_values,
@@ -105,9 +103,7 @@ def _parse_canonical(text: str) -> KFunction | PartialKFunction | None:
     table = bytearray([fill]) * k**n
     for i, v in values.items():
         table[i] = v
-    if partial:
-        return _partial_from_table(k, n, bytes(table))
-    return KFunction(k, n, bytes(table))
+    return (PartialKFunction if partial else KFunction)(k, n, table)
 
 
 def _parse_validating(text: str) -> KFunction | PartialKFunction:
@@ -119,21 +115,19 @@ def _parse_validating(text: str) -> KFunction | PartialKFunction:
     m = _HEADER_RE.match(header)
     if not m:
         raise ParseError(line_no, "malformed header, expected 'k=K n=N mode=total|partial'")
-    k, n, mode = int(m.group(1)), int(m.group(2)), m.group(3)
-    default = int(m.group(4)) if m.group(4) is not None else None
+    k, n, mode, default = int(m.group(1)), int(m.group(2)), m.group(3), int(m.group(4) or 0)
     if not 2 <= k <= 16:
         raise ParseError(line_no, f"k={k} outside [2, 16]")
     if n < 1:
         raise ParseError(line_no, f"n={n} must be >= 1")
-    if mode == "partial" and default is not None:
+    if mode == "partial" and m.group(4) is not None:
         raise ParseError(line_no, "default= is only meaningful in total mode")
-    if default is None:
-        default = 0
     if not 0 <= default < k:
         raise ParseError(line_no, f"default value {default} >= k")
     check_shape(k, n)  # the table cap, before any body line is read
 
-    assignments: dict[Point, int] = {}
+    table = bytearray([UNDEFINED if mode == "partial" else default]) * k**n
+    seen = bytearray(k**n)
     for line_no, line in lines[1:]:
         if "->" not in line:
             raise ParseError(line_no, "expected 'x1 ... xn -> value'")
@@ -145,18 +139,18 @@ def _parse_validating(text: str) -> KFunction | PartialKFunction:
             raise ParseError(line_no, "coordinates and value must be integers") from None
         if len(coords) != n:
             raise ParseError(line_no, f"expected {n} coordinates, got {len(coords)}")
+        idx = 0
         for x in coords:
             if not 0 <= x < k:
                 raise ParseError(line_no, f"coordinate {x} {_out_of_range(x, k)}")
+            idx = idx * k + x
         if not 0 <= value < k:
             raise ParseError(line_no, f"value {value} {_out_of_range(value, k)}")
-        if coords in assignments:
+        if seen[idx]:
             raise ParseError(line_no, f"duplicate point {' '.join(map(str, coords))}")
-        assignments[coords] = value
-
-    if mode == "total":
-        return KFunction.from_map(k, n, assignments, default=default)
-    return PartialKFunction(k, n, assignments)
+        seen[idx] = 1
+        table[idx] = value
+    return (KFunction if mode == "total" else PartialKFunction)(k, n, table)
 
 
 def _out_of_range(x: int, k: int) -> str:

@@ -1,4 +1,5 @@
-"""Random instance generators used by the absorption and sweep tests."""
+"""Random instance generators used by the absorption and sweep tests, and
+the point-set side of carriers."""
 
 import random
 
@@ -10,6 +11,26 @@ from kdnf import (
     all_points,
     maximal_intervals,
 )
+from kdnf.core import encode_point
+
+
+def carrier_of(k: int, n: int, points) -> CarrierSet:
+    """The carrier holding exactly these points, each a tuple of n values below k."""
+    bits = 0
+    for p in points:
+        assert len(p) == n, f"point {p} is not on the {k}**{n} lattice"
+        bits |= 1 << encode_point(p, k)
+    return CarrierSet(k, n, bits)
+
+
+def points_in(bits: int, k: int, n: int) -> frozenset[Point]:
+    """The points whose indices are set in bits."""
+    return frozenset(p for i, p in enumerate(all_points(k, n)) if bits >> i & 1)
+
+
+def nonzero_points(f: KFunction) -> frozenset[Point]:
+    """The points where f is nonzero."""
+    return frozenset(p for p, v in zip(f.points(), f.table) if v)
 
 
 def star_up_closure(k: int, n: int, seeds) -> frozenset[Point]:
@@ -52,7 +73,7 @@ def star_absorption_instances(rng: random.Random, count: int):
             continue
         gamma = rng.randint(1, k - 1)
         f = random_star_function(rng, k, n, gamma)
-        carrier = CarrierSet(k, n, f.support())
+        carrier = carrier_of(k, n, nonzero_points(f))
         pool = [
             ElementaryConjunction(iv, gamma) for iv in maximal_intervals(carrier)
         ]

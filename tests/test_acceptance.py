@@ -15,7 +15,6 @@ from pathlib import Path
 from kdnf import (
     METRIC_RANK,
     METRIC_TERMS,
-    CarrierSet,
     Dnf,
     KFunction,
     absorbs_zero_free,
@@ -37,7 +36,7 @@ from kdnf.oracle import oracle_absorbs, oracle_maximal_intervals, oracle_minimiz
 from kdnf.textio import print_function
 
 from .conftest import ec
-from .instances import star_absorption_instances
+from .instances import carrier_of, star_absorption_instances
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE_FILE = DATA / "star_example.kfn"
@@ -139,13 +138,13 @@ def test_criterion_5_maximal_interval_oracle_equivalence():
                    limit=120.0):
         pts2 = list(itertools.product(range(2), repeat=3))
         for bits in range(1 << 8):
-            c = CarrierSet(2, 3, frozenset(p for i, p in enumerate(pts2) if bits >> i & 1))
+            c = carrier_of(2, 3, (p for i, p in enumerate(pts2) if bits >> i & 1))
             assert maximal_intervals(c) == oracle_maximal_intervals(c)
         rng = random.Random(55_0101)
         pts3 = list(itertools.product(range(3), repeat=2))
         for _ in range(200):
             sample = rng.sample(pts3, rng.randint(0, len(pts3)))
-            c = CarrierSet(3, 2, frozenset(sample))
+            c = carrier_of(3, 2, sample)
             assert maximal_intervals(c) == oracle_maximal_intervals(c)
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -11,8 +13,10 @@ from kdnf import (
     KFunction,
     PartialKFunction,
     functions_equal,
+    print_dnf,
+    reduced_dnf,
 )
-from kdnf.core import decode_point, encode_point
+from kdnf.core import UNDEFINED, _Record, decode_point, encode_point
 
 from .conftest import STAR_EXAMPLE_POINTS, conjunction_and_point, dnf_and_point, ec
 
@@ -238,30 +242,49 @@ class TestPointLookup:
 
     @pytest.mark.parametrize("p", [(7,), (-1,), (), (0, 0)])
     def test_partial_lookup_rejects_points_off_the_lattice(self, p):
-        func = PartialKFunction(3, 1, {(0,): 0})
+        func = PartialKFunction.from_map(3, 1, {(0,): 0})
         with pytest.raises(ValueError):
             func.value(p)
 
     def test_lookups_on_the_lattice(self):
         assert KFunction.from_map(3, 2, {(0, 1): 2}).value((0, 1)) == 2
-        assert PartialKFunction(3, 2, {(2, 1): 1}).value([2, 1]) == 1
+        assert PartialKFunction.from_map(3, 2, {(2, 1): 1}).value([2, 1]) == 1
 
 
 class TestPartialKFunction:
     ASSIGNED = {(2, 0): 1, (0, 2): 0, (1, 1): 2, (0, 0): 2}
 
     def test_equality_and_hash_ignore_assignment_order(self):
-        forward = PartialKFunction(3, 2, self.ASSIGNED)
-        backward = PartialKFunction(3, 2, dict(reversed(self.ASSIGNED.items())))
+        forward = PartialKFunction.from_map(3, 2, self.ASSIGNED)
+        backward = PartialKFunction.from_map(3, 2, dict(reversed(self.ASSIGNED.items())))
         assert forward == backward and hash(forward) == hash(backward)
-        assert forward != PartialKFunction(3, 2, {**self.ASSIGNED, (2, 2): 0})
+        assert forward != PartialKFunction.from_map(3, 2, {**self.ASSIGNED, (2, 2): 0})
 
-    def test_items_in_point_index_order(self):
-        items = PartialKFunction(3, 2, self.ASSIGNED).items()
-        assert items == (((0, 0), 2), ((0, 2), 0), ((1, 1), 2), ((2, 0), 1))
+    def test_from_map_fills_the_table_in_point_index_order(self):
+        func = PartialKFunction.from_map(3, 2, self.ASSIGNED)
+        assert func == PartialKFunction(3, 2, bytes([2, UNDEFINED, 0, UNDEFINED, 2, UNDEFINED, 1, UNDEFINED, UNDEFINED]))
+
+    @pytest.mark.parametrize("table, message", [
+        (b"\x00\x03\xff", "outside the alphabet and not UNDEFINED"),
+        (b"\x00\xfe\xff", "outside the alphabet and not UNDEFINED"),
+        (b"\x00\xff", "table length 2"),
+    ])
+    def test_table_entries_validated(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            PartialKFunction(3, 1, table)
+        with pytest.raises(ValueError, match="value 3 outside the alphabet"):
+            PartialKFunction.from_map(3, 1, {(1,): 3})
+
+    def test_pickle_and_copy_round_trip_through_the_constructor(self):
+        func = PartialKFunction.from_map(3, 2, self.ASSIGNED)
+        assert PartialKFunction.__reduce__ is _Record.__reduce__
+        assert func.__reduce__() == (PartialKFunction, (3, 2, func.table))
+        for clone in (pickle.loads(pickle.dumps(func)), copy.copy(func), copy.deepcopy(func)):
+            assert type(clone) is PartialKFunction and clone == func and clone.table == func.table
+            assert clone.value((0, 1)) is None and clone.value((0, 2)) == 0
 
     def test_fields_cannot_be_assigned(self):
-        func = PartialKFunction(2, 2, {(0, 0): 1})
+        func = PartialKFunction.from_map(2, 2, {(0, 0): 1})
         before = hash(func)
         for name, value in (("k", 7), ("table", bytes(4))):
             with pytest.raises(AttributeError):
@@ -269,11 +292,11 @@ class TestPartialKFunction:
         assert (func.k, func.table, hash(func)) == (2, b"\x01\xff\xff\xff", before)
 
     def test_repr_shows_the_defined_count(self):
-        assert repr(PartialKFunction(3, 2, self.ASSIGNED)) == "PartialKFunction(k=3, n=2, defined=4)"
-        assert repr(PartialKFunction(2, 3, {})) == "PartialKFunction(k=2, n=3, defined=0)"
+        assert repr(PartialKFunction.from_map(3, 2, self.ASSIGNED)) == "PartialKFunction(k=3, n=2, defined=4)"
+        assert repr(PartialKFunction.from_map(2, 3, {})) == "PartialKFunction(k=2, n=3, defined=0)"
 
     def test_undefined_is_none_and_known_zero_is_zero(self):
-        func = PartialKFunction(3, 2, self.ASSIGNED)
+        func = PartialKFunction.from_map(3, 2, self.ASSIGNED)
         assert func.value((0, 1)) is None
         assert func.value((0, 2)) == 0
         assert [func.value(p) for p in itertools.product(range(3), repeat=2)].count(None) == 5
@@ -290,4 +313,40 @@ class TestEncoding:
             assert encode_point(decode_point(idx, k, n), k) == idx
 
     def test_example_support(self, star_example):
-        assert star_example.support() == frozenset(STAR_EXAMPLE_POINTS)
+        nonzero = {decode_point(i, 3, 3) for i, v in enumerate(star_example.table) if v}
+        assert nonzero == set(STAR_EXAMPLE_POINTS)
+
+
+class TestTableStorage:
+    """Both function records keep their table as bytes of their own."""
+
+    @pytest.mark.parametrize("cls", [KFunction, PartialKFunction])
+    def test_a_bytearray_is_copied_into_bytes(self, cls):
+        source = bytearray([0, 1, 1, 0])
+        func = cls(2, 2, source)
+        before = hash(func)
+        source[0] = 1
+        assert type(func.table) is bytes and func.table == b"\x00\x01\x01\x00"
+        assert hash(func) == before and func == cls(2, 2, b"\x00\x01\x01\x00")
+
+    @pytest.mark.parametrize("cls", [KFunction, PartialKFunction])
+    def test_a_list_is_stored_as_bytes(self, cls):
+        func = cls(2, 2, [0, 1, 1, 0])
+        assert type(func.table) is bytes
+        assert print_dnf(reduced_dnf(func).dnf) == "J{0}(x1)*J{1}(x2)->1\nJ{1}(x1)*J{0}(x2)->1\n"
+
+    def test_bytes_are_kept_as_they_are(self):
+        table = bytes([0, 1, 1, 0])
+        assert KFunction(2, 2, table).table is table
+        assert PartialKFunction(2, 2, table).table is table
+
+    @pytest.mark.parametrize("cls", [KFunction, PartialKFunction])
+    @pytest.mark.parametrize("entry", [256, 1000, -1])
+    def test_entries_that_are_not_bytes_rejected(self, cls, entry):
+        with pytest.raises(ValueError):
+            cls(2, 2, [0, 1, 1, entry])
+
+    @pytest.mark.parametrize("cls", [KFunction, PartialKFunction])
+    def test_an_int_is_not_a_table(self, cls):
+        with pytest.raises(TypeError):
+            cls(2, 2, 4)

@@ -3,6 +3,7 @@ from hypothesis import given
 from kdnf import KFunction, decompose, functions_equal, max_representation
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
+from .instances import nonzero_points
 
 
 def identity_fn(k: int) -> KFunction:
@@ -61,7 +62,7 @@ def test_levels_partition_the_support(f):
         assert pts, "empty levels must be omitted"
         assert not union & pts
         union |= pts
-    assert union == f.support()
+    assert union == nonzero_points(f)
     assert list(dec.gammas) == sorted(dec.gammas)
 
 

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -16,6 +17,7 @@ from kdnf import (
     ElementaryConjunction,
     Interval,
     KFunction,
+    PartialKFunction,
     ReducedDnf,
     absorbs,
     absorbs_zero_free,
@@ -28,7 +30,7 @@ from kdnf import (
     star_order,
     total_order,
 )
-from kdnf.core import decode_point, encode_point
+from kdnf.core import UNDEFINED, decode_point, encode_point, mask_values
 from kdnf.minimize import SUBSET_CAP, LevelCover, _best_cover, _term_cost
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
@@ -91,6 +93,53 @@ def points_nonzero_at(k: int, n: int, positions):
     return itertools.product(*axes)
 
 
+def walk_absorbs_zero_free(terms: Sequence[ElementaryConjunction], ec: ElementaryConjunction) -> bool:
+    """absorbs_zero_free as a walk over ec's value combinations on its
+    support, each looked for in a support-contained term; the reference for
+    the bitset test."""
+    support = ec.support()
+    pos = frozenset(support)
+    relevant = [t for t in terms if set(t.support()) <= pos]
+    axes = [mask_values(ec.interval.factors[j]) for j in support]
+    for combo in itertools.product(*axes):
+        if not any(
+            all(t.interval.factors[j] >> x & 1 for x, j in zip(combo, support))
+            for t in relevant
+        ):
+            return False
+    return True
+
+
+def zero_free_cases(rng: random.Random, count: int):
+    """(terms, target) pairs of zero-free shaped conjunctions of one level,
+    k=2..5 and n=1..6.  Each term factor is full, a widening of the target's
+    or a random zero-free set, so that both answers are common."""
+    out = []
+    while len(out) < count:
+        k, n = rng.randint(2, 5), rng.randint(1, 6)
+        full = (1 << k) - 1
+
+        def zero_free() -> int:
+            return rng.randrange(1, 1 << (k - 1)) << 1
+
+        target = tuple(full if rng.random() < 0.4 else zero_free() for _ in range(n))
+        gamma = rng.randint(1, k - 1)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            factors = []
+            for f in target:
+                r = rng.random()
+                if r < 0.25 or (f == full and r < 0.8):
+                    factors.append(full)
+                elif r < 0.6:
+                    factors.append(f | zero_free())
+                else:
+                    factors.append(zero_free())
+            terms.append(ElementaryConjunction(Interval(k, tuple(factors)), gamma))
+        out.append((terms, ElementaryConjunction(Interval(k, target), gamma)))
+    return out
+
+
 class TestAbsorbsZeroFree:
     def test_self_cover(self):
         term = ec(3, 1, [1], [1, 2])
@@ -146,6 +195,21 @@ class TestAbsorbsZeroFree:
         rng = random.Random(20250810)
         for terms, target in star_absorption_instances(rng, 120):
             assert absorbs_zero_free(terms, target) == oracle_absorbs(terms, target)
+
+    def test_matches_the_value_walk_on_seeded_zero_free_cases(self):
+        rng = random.Random(20261018)
+        outcomes = collections.Counter()
+        for terms, target in zero_free_cases(rng, 5000):
+            fast = absorbs_zero_free(terms, target)
+            assert fast == walk_absorbs_zero_free(terms, target), (terms, target)
+            outcomes[fast] += 1
+        assert min(outcomes[True], outcomes[False]) >= 1000, outcomes
+
+    def test_support_past_the_table_cap_refused(self):
+        # k**|support| = 2**21 points would not fit a dense table
+        target = ec(2, 1, *[[1]] * 21)
+        with pytest.raises(CapacityError, match="dense-table cap"):
+            absorbs_zero_free([target], target)
 
     def test_widened_coverage_is_necessary(self):
         # one direction of the coverage form does hold: absorption implies
@@ -683,6 +747,16 @@ class TestCoverInstance:
                         1 << encode_point(p, k) for p in level.universe if t.interval.contains_point(p)
                     )
                     assert c == reference
+
+    @pytest.mark.parametrize("undefined", [0, 1, 27])
+    def test_partial_functions_refused_by_every_entry_point(self, star_example, undefined):
+        # undefined=0 is a partial function defined at every point
+        func = PartialKFunction(3, 3, star_example.table[: 27 - undefined] + bytes([UNDEFINED]) * undefined)
+        pool = reduced_dnf(func)
+        for call in (lambda: cover_instance(func, pool), lambda: dead_end_dnfs(func, pool),
+                     lambda: minimize_dnf(func), lambda: minimize_dnf(func, METRIC_RANK)):
+            with pytest.raises(ValueError, match=r"needs a total function \(KFunction\)"):
+                call()
 
     def test_raises_exactly_when_the_pool_does_not_realize(self):
         def perturbed(f, d):

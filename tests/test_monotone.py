@@ -377,7 +377,7 @@ class TestBitsetWitness:
             monotone_witness(KFunction.constant(3, 2, 1), total_order(2))
 
     def test_partial_function_refused(self):
-        f = PartialKFunction(3, 2, {(0, 0): 1, (2, 2): 0})
+        f = PartialKFunction.from_map(3, 2, {(0, 0): 1, (2, 2): 0})
         for call in (lambda: monotone_witness(f, total_order(3)), lambda: is_monotone(f, star_order(3)),
                      lambda: chain_shape_report(f)):
             with pytest.raises(ValueError, match="total function"):

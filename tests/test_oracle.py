@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from kdnf import CapacityError, CarrierSet, Dnf, Interval, KFunction
+from kdnf import CapacityError, Dnf, Interval, KFunction
 from kdnf.oracle import (
     oracle_absorbs,
     oracle_is_monotone,
@@ -11,19 +11,20 @@ from kdnf.oracle import (
 )
 
 from .conftest import ec
+from .instances import carrier_of, nonzero_points
 
 
 def test_full_boolean_square_has_one_maximal_interval():
-    c = CarrierSet(2, 2, frozenset(itertools.product(range(2), repeat=2)))
+    c = carrier_of(2, 2, itertools.product(range(2), repeat=2))
     assert oracle_maximal_intervals(c) == [Interval.full(2, 2)]
 
 
 def test_empty_carrier():
-    assert oracle_maximal_intervals(CarrierSet(3, 2, frozenset())) == []
+    assert oracle_maximal_intervals(carrier_of(3, 2, ())) == []
 
 
 def test_star_example_carrier(star_example):
-    got = oracle_maximal_intervals(CarrierSet(3, 3, star_example.support()))
+    got = oracle_maximal_intervals(carrier_of(3, 3, nonzero_points(star_example)))
     keys = {i.factors for i in got}
     assert (0b111, 0b010, 0b010) in keys  # x2=1, x3=1, x1 free
     assert (0b010, 0b100, 0b110) in keys  # x1=1, x2=2, x3 in {1,2}
@@ -32,7 +33,7 @@ def test_star_example_carrier(star_example):
 
 def test_maximal_interval_cap():
     with pytest.raises(CapacityError):
-        oracle_maximal_intervals(CarrierSet(16, 2, frozenset()))
+        oracle_maximal_intervals(carrier_of(16, 2, ()))
 
 
 def test_absorbs_accepts_dnf_or_terms(handwritten_pair):
@@ -56,7 +57,7 @@ def test_minimize_single_point_function():
     f = KFunction.from_map(2, 2, {(1, 1): 1})
     res = oracle_minimize(f)
     assert res.objective_value == 1
-    assert [t.interval for t in res.dnf.terms] == [Interval.singleton(2, (1, 1))]
+    assert [t.interval for t in res.dnf.terms] == [Interval.from_values(2, [1], [1])]
 
 
 def test_is_monotone_definition_check(star_example):

@@ -30,6 +30,8 @@ from kdnf import (
 from kdnf.minimize import LevelCover
 from kdnf.reduce import LevelTerms
 
+from .instances import carrier_of
+
 IV = Interval(k=2, factors=(2,))
 EC = ElementaryConjunction(interval=IV, gamma=1)
 EC_TEXT = "ElementaryConjunction(interval=Interval(k=2, factors=(2,)), gamma=1)"
@@ -48,11 +50,11 @@ CASES = [
      (dict(k=3, n=1, terms=(EC,)), "term shape does not match the DNF shape")),
     (KFunction, dict(k=2, n=1, table=b"\x00\x01"), r"KFunction(k=2, n=1, table=b'\x00\x01')",
      (dict(k=2, n=1, table=b"\x00\x02"), "table entry outside the alphabet")),
-    (PartialKFunction, dict(k=3, n=2, assignments={(0, 1): 2, (2, 2): 0}),
+    (PartialKFunction, dict(k=3, n=2, table=b"\xff\x02\xff\xff\xff\xff\xff\xff\x00"),
      "PartialKFunction(k=3, n=2, defined=2)",
-     (dict(k=3, n=2, assignments={(0, 1): 3}), "value 3 outside the alphabet")),
-    (CarrierSet, dict(k=2, n=2, points=frozenset({(0, 1)})), "CarrierSet(k=2, n=2, points=frozenset({(0, 1)}))",
-     (dict(k=2, n=2, points=frozenset({(0,)})), r"point \(0,\) outside the 2\*\*2 lattice")),
+     (dict(k=3, n=2, table=b"\xff\x03" + b"\xff" * 7), "table entry outside the alphabet and not UNDEFINED")),
+    (CarrierSet, dict(k=2, n=2, bits=0b0010), "CarrierSet(k=2, n=2, bits=2)",
+     (dict(k=2, n=2, bits=1 << 4), r"bits outside the 2\*\*2 lattice")),
     (LevelTerms, dict(k=2, n=1, gamma=1, level_bits=2, carrier_bits=2, terms=(EC,), term_bits=(2,)),
      f"LevelTerms(k=2, n=1, gamma=1, terms=({EC_TEXT},))", None),
     (ReducedDnf, dict(dnf=EMPTY, levels=()), "ReducedDnf(dnf=Dnf(k=2, n=1, terms=()), levels=())", None),
@@ -104,9 +106,10 @@ def test_record_contract(cls, kwargs, text, bad):
 
 
 def test_copies_of_a_carrier_keep_its_bits():
-    carrier = CarrierSet(2, 2, frozenset({(0, 1), (1, 1)}))
+    carrier = carrier_of(2, 2, [(0, 1), (1, 1)])
     assert carrier.bits == 0b1010
     assert copy.copy(carrier).bits == 0b1010
+    assert pickle.loads(pickle.dumps(carrier)).points == frozenset({(0, 1), (1, 1)})
 
 
 def test_import_generates_no_code():

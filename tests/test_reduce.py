@@ -7,7 +7,6 @@ from hypothesis import given, settings
 import kdnf.reduce
 from kdnf import (
     CapacityError,
-    CarrierSet,
     Interval,
     KFunction,
     PartialKFunction,
@@ -20,23 +19,19 @@ from kdnf.core import UNDEFINED
 from kdnf.oracle import oracle_maximal_intervals
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
-from .instances import star_up_closure
-
-
-def carrier(k, n, pts):
-    return CarrierSet(k, n, frozenset(pts))
+from .instances import carrier_of, points_in, star_up_closure
 
 
 def iv(k, *factors):
     return Interval.from_values(k, *factors)
 
 
-EXAMPLE_CARRIER = carrier(3, 3, STAR_EXAMPLE_POINTS)
+EXAMPLE_CARRIER = carrier_of(3, 3, STAR_EXAMPLE_POINTS)
 
 
 class TestMaximalIntervals:
     def test_full_lattice_single_interval(self):
-        full = carrier(2, 3, itertools.product(range(2), repeat=3))
+        full = carrier_of(2, 3, itertools.product(range(2), repeat=3))
         assert maximal_intervals(full) == [Interval.full(2, 3)]
 
     def test_star_example_carrier(self):
@@ -49,16 +44,16 @@ class TestMaximalIntervals:
         assert {i.factors for i in got} == expected
 
     def test_single_point_carrier(self):
-        got = maximal_intervals(carrier(3, 2, [(1, 2)]))
-        assert got == [Interval.singleton(3, (1, 2))]
+        got = maximal_intervals(carrier_of(3, 2, [(1, 2)]))
+        assert got == [iv(3, [1], [2])]
 
     def test_empty_carrier(self):
-        assert maximal_intervals(carrier(3, 2, [])) == []
+        assert maximal_intervals(carrier_of(3, 2, [])) == []
 
     def test_oracle_equivalence_exhaustive_k2_n2(self):
         pts = list(itertools.product(range(2), repeat=2))
         for bits in range(1 << 4):
-            c = carrier(2, 2, [p for i, p in enumerate(pts) if bits >> i & 1])
+            c = carrier_of(2, 2, [p for i, p in enumerate(pts) if bits >> i & 1])
             assert maximal_intervals(c) == oracle_maximal_intervals(c)
 
     def test_oracle_equivalence_random_k3(self):
@@ -76,13 +71,13 @@ def assert_random_carriers_match_oracle(k, n, count, seed, dense=False):
     pts = list(itertools.product(range(k), repeat=n))
     low = (len(pts) * 3) // 5 if dense else 0
     for _ in range(count):
-        c = carrier(k, n, rng.sample(pts, rng.randint(low, len(pts))))
+        c = carrier_of(k, n, rng.sample(pts, rng.randint(low, len(pts))))
         assert maximal_intervals(c) == oracle_maximal_intervals(c)
 
 
 class TestIsMaximalIn:
     def test_full_in_full(self):
-        full = carrier(3, 2, itertools.product(range(3), repeat=2))
+        full = carrier_of(3, 2, itertools.product(range(3), repeat=2))
         assert maximal_intervals(full) == [Interval.full(3, 2)]
 
     def test_extendable_singleton(self):
@@ -146,7 +141,7 @@ class TestReducedDnf:
     def test_every_level_point_is_covered_at_its_level(self, f):
         pool = reduced_dnf(f)
         for lt in pool.levels:
-            for p in lt.level_points:
+            for p in points_in(lt.level_bits, f.k, f.n):
                 assert any(t.interval.contains_point(p) for t in lt.terms)
 
     @given(kfunctions())
@@ -160,25 +155,21 @@ class TestReducedDnf:
 
 class TestReducedDnfPartial:
     def test_single_point_no_forbidden(self):
-        func = PartialKFunction(3, 2, {(1, 2): 1})
+        func = PartialKFunction.from_map(3, 2, {(1, 2): 1})
         pool = reduced_dnf_partial(func)
         assert [t.interval for t in pool.dnf.terms] == [Interval.full(3, 2)]
         assert pool.dnf.terms[0].gamma == 1
 
     def test_everything_else_zero(self):
         zero = {p: 0 for p in itertools.product(range(3), repeat=2) if p != (1, 2)}
-        func = PartialKFunction(3, 2, {**zero, (1, 2): 1})
+        func = PartialKFunction.from_map(3, 2, {**zero, (1, 2): 1})
         pool = reduced_dnf_partial(func)
-        assert [t.interval for t in pool.dnf.terms] == [Interval.singleton(3, (1, 2))]
+        assert [t.interval for t in pool.dnf.terms] == [iv(3, [1], [2])]
 
     def test_undefined_point_acts_as_dont_care(self):
-        func = PartialKFunction(3, 1, {(0,): 0, (2,): 1})
+        func = PartialKFunction.from_map(3, 1, {(0,): 0, (2,): 1})
         pool = reduced_dnf_partial(func)
         assert [(t.gamma, t.interval.factors) for t in pool.dnf.terms] == [(1, (0b110,))]
-
-    def test_overlapping_defined_sets_rejected(self):
-        with pytest.raises(ValueError):
-            PartialKFunction.from_level_sets(3, 1, {0: [(1,)], 1: [(1,)]})
 
     def test_agrees_with_function_on_defined_points(self):
         rng = random.Random(99)
@@ -187,7 +178,7 @@ class TestReducedDnfPartial:
             defined = {
                 p: rng.randrange(3) for p in rng.sample(pts, rng.randint(1, len(pts)))
             }
-            func = PartialKFunction(3, 2, defined)
+            func = PartialKFunction.from_map(3, 2, defined)
             d = reduced_dnf_partial(func).dnf
             for p, v in defined.items():
                 assert d.value_at(p) == v
@@ -198,12 +189,12 @@ class TestReducedDnfPartial:
         pts = list(itertools.product(range(k), repeat=n))
         for _ in range(25):
             defined = {p: rng.randrange(k) for p in rng.sample(pts, rng.randint(1, len(pts)))}
-            pool = reduced_dnf_partial(PartialKFunction(k, n, defined))
+            pool = reduced_dnf_partial(PartialKFunction.from_map(k, n, defined))
             for lt in pool.levels:
                 below = {p for p, v in defined.items() if v < lt.gamma}
-                c = carrier(k, n, set(pts) - below)
+                c = carrier_of(k, n, set(pts) - below)
                 assert lt.carrier == c
-                level = lt.level_points
+                level = points_in(lt.level_bits, k, n)
                 expected = [
                     iv for iv in oracle_maximal_intervals(c)
                     if any(iv.contains_point(p) for p in level)
@@ -213,9 +204,7 @@ class TestReducedDnfPartial:
 
     @given(kfunctions())
     def test_total_consistency(self, f):
-        as_partial = PartialKFunction(
-            f.k, f.n, {p: f.value(p) for p in f.points()}
-        )
+        as_partial = PartialKFunction(f.k, f.n, f.table)
         assert reduced_dnf_partial(as_partial).dnf == reduced_dnf(as_partial).dnf == reduced_dnf(f).dnf
 
 
@@ -225,7 +214,7 @@ def test_fast_path_matches_oracle_on_function_carriers(f):
     from kdnf.decompose import decompose, max_representation
 
     for _, pts in max_representation(decompose(f)).carriers:
-        c = CarrierSet(f.k, f.n, pts)
+        c = carrier_of(f.k, f.n, pts)
         assert maximal_intervals(c) == oracle_maximal_intervals(c)
 
 

@@ -138,7 +138,7 @@ def _reference_parse(text):
         assignments[coords] = value
     if mode == "total":
         return KFunction.from_map(k, n, assignments, default=default)
-    return PartialKFunction(k, n, assignments)
+    return PartialKFunction.from_map(k, n, assignments)
 
 
 def _outcome(parse, text):
@@ -254,7 +254,7 @@ class TestPrintFunction:
         assert parse_function(print_function(f)) == f
 
     def test_round_trip_partial(self):
-        func = PartialKFunction(3, 2, {(0, 1): 2, (2, 2): 0})
+        func = PartialKFunction.from_map(3, 2, {(0, 1): 2, (2, 2): 0})
         assert parse_function(print_function(func)) == func
 
 
