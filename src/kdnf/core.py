@@ -15,8 +15,11 @@ partial one holds UNDEFINED (255, above every value) at its undefined
 points, so a total function is a partial one with every point defined.
 
 Every type here is an immutable record on one small base (_Record): a
-plain class with __slots__, whose constructor validates its arguments and
-sets the fields once.  Assigning or deleting a field raises AttributeError.
+plain class with __slots__ whose fields are set once, at construction.
+Plain records inherit _Record's constructor, which takes the fields
+positionally or by keyword; the validating records here define their own,
+check their arguments and set their fields themselves.  Assigning or
+deleting a field raises AttributeError.
 Two records are equal when they have the same class and the same fields,
 and hash over those fields.  They pickle and copy through __reduce__.  No
 code is generated for them, so the standard library's field helpers
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 MIN_K = 2
 MAX_K = 16          # desk-scale cap on the alphabet
@@ -108,12 +111,14 @@ def mask_values(mask: int) -> tuple[int, ...]:
 class _Record:
     """Base of the immutable records.
 
-    A record lists its fields in __slots__, in the order of its constructor's
-    parameters, and its __init__ sets each one once through
-    object.__setattr__.  Equality (same class, equal fields), hashing and
-    copying go over those fields; copies call the class with their values.
-    repr shows the fields named in _shown, all of them unless the class names
-    fewer.
+    A record lists its fields in __slots__, in constructor order.  A plain
+    record inherits __init__ below, which binds the positional values to the
+    first fields and the keyword values to the rest by name.  A validating
+    record defines its own __init__ with the same parameters and sets each
+    field once through object.__setattr__.  Equality (same class, equal
+    fields), hashing and copying go over those fields; copies call the class
+    with their values.  repr shows the fields named in _shown, all of them
+    unless the class names fewer.
     """
 
     __slots__ = ()
@@ -123,6 +128,20 @@ class _Record:
         cls._fields = cls.__slots__ or cls._fields  # a subclass adding no slots keeps its base's
         cls._shown = getattr(cls, "_shown", cls._fields)
         cls._values = operator.attrgetter(*cls._fields)
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs:
+            positional = fields[: len(args)]
+            for name in kwargs:
+                if name not in fields or name in positional:
+                    raise TypeError(f"{self.__class__.__qualname__}() got an unknown or repeated field {name!r}")
+            args += tuple(kwargs[name] for name in fields[len(args) :] if name in kwargs)
+        if len(args) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(fields)}: "
+                            f"got {len(args)} values")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -155,8 +174,9 @@ class Interval(_Record):
 
     __slots__ = ("k", "factors")
 
-    def __init__(self, k: int, factors: tuple[int, ...]) -> None:
+    def __init__(self, k: int, factors: Iterable[int]) -> None:
         check_alphabet(k)
+        factors = tuple(factors)
         if not factors:
             raise ValueError("interval needs at least one factor")
         top = 1 << k
@@ -176,21 +196,11 @@ class Interval(_Record):
                     raise ValueError(f"negative logic value {v}")
                 m |= 1 << v
             masks.append(m)
-        return cls(k, tuple(masks))
-
-    @classmethod
-    def full(cls, k: int, n: int) -> "Interval":
-        return cls(k, ((1 << k) - 1,) * n)
+        return cls(k, masks)
 
     @property
     def n(self) -> int:
         return len(self.factors)
-
-    def size(self) -> int:
-        s = 1
-        for f in self.factors:
-            s *= f.bit_count()
-        return s
 
     def contains_point(self, p: Point) -> bool:
         if len(p) != self.n:
@@ -238,12 +248,6 @@ class ElementaryConjunction(_Record):
     def value_at(self, p: Point) -> int:
         return self.gamma if self.interval.contains_point(p) else 0
 
-    def is_orthogonal_to(self, other: "ElementaryConjunction") -> bool:
-        """True when the intervals are disjoint, witnessed by one variable."""
-        if other.k != self.k or other.n != self.n:
-            raise ValueError("conjunction shape mismatch")
-        return any(f & g == 0 for f, g in zip(self.interval.factors, other.interval.factors))
-
     def support(self) -> tuple[int, ...]:
         """0-based positions of the non-full factors (the variables it depends on)."""
         full = (1 << self.k) - 1
@@ -255,8 +259,9 @@ class Dnf(_Record):
 
     __slots__ = ("k", "n", "terms")
 
-    def __init__(self, k: int, n: int, terms: tuple[ElementaryConjunction, ...] = ()) -> None:
+    def __init__(self, k: int, n: int, terms: Iterable[ElementaryConjunction] = ()) -> None:
         check_shape(k, n)
+        terms = tuple(terms)
         for t in terms:
             if t.k != k or t.n != n:
                 raise ValueError("term shape does not match the DNF shape")
@@ -277,15 +282,7 @@ class Dnf(_Record):
 
     def canonical(self) -> "Dnf":
         """Terms sorted by (gamma, factor bitmask tuple)."""
-        return Dnf(self.k, self.n, tuple(sorted(self.terms, key=ElementaryConjunction.sort_key)))
-
-    def without(self, index: int) -> "Dnf":
-        if not 0 <= index < len(self.terms):
-            raise ValueError(f"term index {index} out of range")
-        return Dnf(self.k, self.n, self.terms[:index] + self.terms[index + 1 :])
-
-    def as_function(self) -> "KFunction":
-        return KFunction(self.k, self.n, bytes(self.value_at(p) for p in all_points(self.k, self.n)))
+        return Dnf(self.k, self.n, sorted(self.terms, key=ElementaryConjunction.sort_key))
 
 
 def _set_table(func: _Record, k: int, n: int, table: bytes, partial: bool) -> None:
@@ -314,40 +311,14 @@ class KFunction(_Record):
         _set_table(self, k, n, table, partial=False)
 
     @classmethod
-    def from_table(cls, k: int, n: int, values: Iterable[int]) -> "KFunction":
-        return cls(k, n, bytes(values))
-
-    @classmethod
     def from_map(cls, k: int, n: int, assignments: Mapping[Point, int], default: int = 0) -> "KFunction":
         check_shape(k, n)
         if not 0 <= default < k:
             raise ValueError(f"default value {default} outside the alphabet")
         return cls(k, n, _table_from_map(k, n, assignments, default))
 
-    @classmethod
-    def from_callable(cls, k: int, n: int, fn: Callable[[Point], int]) -> "KFunction":
-        check_shape(k, n)
-        return cls(k, n, bytes(fn(p) for p in all_points(k, n)))
-
-    @classmethod
-    def constant(cls, k: int, n: int, value: int = 0) -> "KFunction":
-        check_shape(k, n)
-        if not 0 <= value < k:
-            raise ValueError(f"value {value} outside the alphabet")
-        return cls(k, n, bytes([value]) * k**n)
-
     def value(self, p: Point) -> int:
         return self.table[_index(p, self.k, self.n)]
-
-    def points(self) -> Iterator[Point]:
-        return all_points(self.k, self.n)
-
-
-def functions_equal(f: KFunction, g: KFunction) -> bool:
-    """Pointwise table equality; mismatched shapes are an error, not False."""
-    if f.k != g.k or f.n != g.n:
-        raise ValueError("function shape mismatch")
-    return f.table == g.table
 
 
 class PartialKFunction(_Record):

@@ -19,38 +19,11 @@ class LevelDecomposition(_Record):
 
     __slots__ = ("k", "n", "levels")
 
-    def __init__(self, k: int, n: int, levels: tuple[tuple[int, frozenset[Point]], ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def gammas(self) -> tuple[int, ...]:
-        """The nonzero values the function attains."""
-        return tuple(g for g, _ in self.levels)
-
-    def level_set(self, gamma: int) -> frozenset[Point]:
-        for g, pts in self.levels:
-            if g == gamma:
-                return pts
-        raise KeyError(f"level {gamma} not attained")
-
 
 class MaxRepresentation(_Record):
     """Carriers (gamma, union of this and all higher level sets), ascending."""
 
     __slots__ = ("k", "n", "carriers")
-
-    def __init__(self, k: int, n: int, carriers: tuple[tuple[int, frozenset[Point]], ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "carriers", carriers)
-
-    def carrier(self, gamma: int) -> frozenset[Point]:
-        for g, pts in self.carriers:
-            if g == gamma:
-                return pts
-        raise KeyError(f"level {gamma} not attained")
 
 
 def decompose(f: KFunction) -> LevelDecomposition:

@@ -131,15 +131,6 @@ class LevelCover(_Record):
     __slots__ = ("k", "n", "gamma", "level_bits", "candidates", "covers")
     _shown = ("k", "n", "gamma", "candidates")
 
-    def __init__(self, k: int, n: int, gamma: int, level_bits: int,
-                 candidates: tuple[ElementaryConjunction, ...], covers: tuple[int, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "level_bits", level_bits)
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "covers", covers)
-
     @property
     def universe(self) -> tuple[Point, ...]:
         return tuple(decode_point(p, self.k, self.n) for p in _set_bits(self.level_bits))
@@ -150,10 +141,10 @@ class CoverInstance(_Record):
 
     __slots__ = ("k", "n", "levels")
 
-    def __init__(self, k: int, n: int, levels: tuple[LevelCover, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "levels", levels)
+
+def _check_total(f: KFunction) -> None:
+    if not isinstance(f, KFunction):
+        raise ValueError("covering needs a total function (KFunction)")
 
 
 def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
@@ -164,8 +155,7 @@ def cover_instance(f: KFunction, pool: ReducedDnf) -> CoverInstance:
     set of gamma and those of level > gamma stay off it, so terms of exactly
     level gamma cover it: every cover problem is solvable.
     """
-    if not isinstance(f, KFunction):
-        raise ValueError("covering needs a total function (KFunction)")
+    _check_total(f)
     if pool.k != f.k or pool.n != f.n:
         raise ValueError("pool and function shape mismatch")
     k, n = f.k, f.n
@@ -291,7 +281,7 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
     if sum((share - 1) * size for share, size in shares) > budget[0]:
         terms = sum(share * size for share, size in shares)
         raise CapacityError(f"{combos} dead-end DNFs of {terms} terms in all exceed the cap {SUBSET_CAP}")
-    results = [Dnf(f.k, f.n, tuple(sorted(itertools.chain(*choice), key=ElementaryConjunction.sort_key)))
+    results = [Dnf(f.k, f.n, sorted(itertools.chain(*choice), key=ElementaryConjunction.sort_key))
                for choice in itertools.product(*per_level)]
     results.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
     return results
@@ -299,11 +289,6 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
 
 class MinimizationResult(_Record):
     __slots__ = ("dnf", "metric", "objective_value")
-
-    def __init__(self, dnf: Dnf, metric: str, objective_value: int) -> None:
-        object.__setattr__(self, "dnf", dnf)
-        object.__setattr__(self, "metric", metric)
-        object.__setattr__(self, "objective_value", objective_value)
 
 
 def _term_cost(t: ElementaryConjunction, metric: str) -> tuple[int, int]:
@@ -531,11 +516,12 @@ def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult
     """
     if metric not in (METRIC_TERMS, METRIC_RANK):
         raise ValueError(f"unknown metric {metric!r}")
+    _check_total(f)  # before the reduce, which would take a partial function
     pool = reduced_dnf(f)
     inst = cover_instance(f, pool)
     budget = [SUBSET_CAP]
     terms = [level.candidates[i] for level in inst.levels for i in _best_cover(level, metric, budget)]
     terms.sort(key=ElementaryConjunction.sort_key)
-    dnf = Dnf(f.k, f.n, tuple(terms))
+    dnf = Dnf(f.k, f.n, terms)
     objective = len(dnf.terms) if metric == METRIC_TERMS else dnf.total_rank()
     return MinimizationResult(dnf, metric, objective)

@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator
 
 from .core import CapacityError, KFunction, Point, _Record, check_alphabet, check_shape, decode_point, encode_point
 from .minimize import dead_end_dnfs
-from .reduce import ReducedDnf, _bits_where, _repeat, reduced_dnf
+from .reduce import _bits_where, _repeat, reduced_dnf
 
 COUNT_CAP = 10**8  # cap on k**(k**n), the candidate-table space of the counter
 
@@ -31,8 +31,9 @@ class ValueOrder(_Record):
 
     __slots__ = ("k", "geq")
 
-    def __init__(self, k: int, geq: tuple[int, ...]) -> None:
+    def __init__(self, k: int, geq: Iterable[int]) -> None:
         check_alphabet(k)
+        geq = tuple(geq)
         if len(geq) != k:
             raise ValueError("relation size does not match the alphabet")
         for i in range(k):
@@ -58,14 +59,11 @@ class ValueOrder(_Record):
             for i in range(k):
                 if geq[i] >> m & 1:
                     geq[i] |= geq[m]
-        return cls(k, tuple(geq))
-
-    def dominates(self, a: int, b: int) -> bool:
-        """a >= b in this order."""
-        return self.geq[a] >> b & 1 == 1
+        return cls(k, geq)
 
     def leq(self, a: int, b: int) -> bool:
-        return self.dominates(b, a)
+        """a <= b in this order."""
+        return self.geq[b] >> a & 1 == 1
 
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """(low, high) pairs with nothing strictly between, ascending."""
@@ -193,13 +191,6 @@ class PsiEstimate(_Record):
 
     __slots__ = ("n", "k", "log2_psi", "d", "big_d")
 
-    def __init__(self, n: int, k: int, log2_psi: float, d: int, big_d: float) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "log2_psi", log2_psi)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "big_d", big_d)
-
 
 def psi_estimate(n: int, k: int) -> PsiEstimate:
     check_alphabet(k)
@@ -221,15 +212,6 @@ class ChainShapeReport(_Record):
 
     __slots__ = ("reduced", "factors_upper", "dead_end_count", "dead_end_equals_reduced", "core_points",
                  "cores_exclusive")
-
-    def __init__(self, reduced: ReducedDnf, factors_upper: bool, dead_end_count: int,
-                 dead_end_equals_reduced: bool, core_points: tuple[Point, ...], cores_exclusive: bool) -> None:
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "factors_upper", factors_upper)
-        object.__setattr__(self, "dead_end_count", dead_end_count)
-        object.__setattr__(self, "dead_end_equals_reduced", dead_end_equals_reduced)
-        object.__setattr__(self, "core_points", core_points)
-        object.__setattr__(self, "cores_exclusive", cores_exclusive)
 
 
 def _is_upper_interval(mask: int, k: int) -> bool:

@@ -96,7 +96,7 @@ def oracle_minimize(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationRes
                     best_key, best = key, subset
         chosen_terms.extend(best)
     chosen_terms.sort(key=ElementaryConjunction.sort_key)
-    dnf = Dnf(f.k, f.n, tuple(chosen_terms))
+    dnf = Dnf(f.k, f.n, chosen_terms)
     objective = len(dnf.terms) if metric == METRIC_TERMS else dnf.total_rank()
     return MinimizationResult(dnf, metric, objective)
 

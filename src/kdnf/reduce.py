@@ -94,16 +94,6 @@ class LevelTerms(_Record):
     __slots__ = ("k", "n", "gamma", "level_bits", "carrier_bits", "terms", "term_bits")
     _shown = ("k", "n", "gamma", "terms")
 
-    def __init__(self, k: int, n: int, gamma: int, level_bits: int, carrier_bits: int,
-                 terms: tuple[ElementaryConjunction, ...], term_bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "level_bits", level_bits)
-        object.__setattr__(self, "carrier_bits", carrier_bits)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "term_bits", term_bits)
-
     @property
     def carrier(self) -> CarrierSet:
         return CarrierSet(self.k, self.n, self.carrier_bits)
@@ -113,10 +103,6 @@ class ReducedDnf(_Record):
     """Reduced DNF plus per-level provenance, terms in canonical order."""
 
     __slots__ = ("dnf", "levels")
-
-    def __init__(self, dnf: Dnf, levels: tuple[LevelTerms, ...]) -> None:
-        object.__setattr__(self, "dnf", dnf)
-        object.__setattr__(self, "levels", levels)
 
     @property
     def k(self) -> int:
@@ -309,7 +295,7 @@ def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
         found = [(bits, masks) for bits, masks in found if bits & level]
         terms = tuple(ElementaryConjunction(Interval(k, masks), gamma) for _, masks in found)
         levels.append(LevelTerms(k, n, gamma, level, carrier, terms, tuple(bits for bits, _ in found)))
-    return ReducedDnf(Dnf(k, n, tuple(t for lt in levels for t in lt.terms)), tuple(levels))
+    return ReducedDnf(Dnf(k, n, (t for lt in levels for t in lt.terms)), tuple(levels))
 
 
 def reduced_dnf(func: KFunction | PartialKFunction) -> ReducedDnf:

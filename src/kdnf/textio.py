@@ -225,7 +225,7 @@ def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunc
             if any(not 0 <= v < k for v in values):
                 raise ParseError(line_no, "factor value >= k")
             factors[var - 1] = sum(1 << v for v in set(values))
-    return ElementaryConjunction(Interval(k, tuple(factors)), gamma)
+    return ElementaryConjunction(Interval(k, factors), gamma)
 
 
 def parse_dnf(text: str) -> Dnf:
@@ -249,4 +249,4 @@ def parse_dnf(text: str) -> Dnf:
                 raise ParseError(line_no, "'0' must be the only body line")
             break
         terms.append(parse_term(line, k, n, line_no))
-    return Dnf(k, n, tuple(terms))
+    return Dnf(k, n, terms)

@@ -50,7 +50,7 @@ def shapes(draw, min_k=2, max_k=3, max_n=3, max_table=81):
 def kfunctions(draw, **kwargs):
     k, n = draw(shapes(**kwargs))
     table = draw(st.lists(st.integers(0, k - 1), min_size=k**n, max_size=k**n))
-    return KFunction.from_table(k, n, table)
+    return KFunction(k, n, table)
 
 
 def point_strategy(k: int, n: int):

@@ -1,10 +1,11 @@
-"""Random instance generators used by the absorption and sweep tests, and
-the point-set side of carriers."""
+"""Random instance generators used by the absorption and sweep tests, the
+point-set side of carriers, and the pointwise reading of a DNF."""
 
 import random
 
 from kdnf import (
     CarrierSet,
+    Dnf,
     ElementaryConjunction,
     KFunction,
     Point,
@@ -23,6 +24,22 @@ def carrier_of(k: int, n: int, points) -> CarrierSet:
     return CarrierSet(k, n, bits)
 
 
+def dnf_function(d: Dnf) -> KFunction:
+    """The function d computes, from Dnf.value_at at every point: the
+    definition, independent of the bitsets the fast paths use."""
+    return KFunction(d.k, d.n, [d.value_at(p) for p in all_points(d.k, d.n)])
+
+
+def without(d: Dnf, index: int) -> Dnf:
+    """d with its term at index dropped."""
+    return Dnf(d.k, d.n, d.terms[:index] + d.terms[index + 1 :])
+
+
+def orthogonal(a: ElementaryConjunction, b: ElementaryConjunction) -> bool:
+    """Whether two conjunctions' intervals are disjoint: on some variable their factors share no value."""
+    return any(f & g == 0 for f, g in zip(a.interval.factors, b.interval.factors))
+
+
 def points_in(bits: int, k: int, n: int) -> frozenset[Point]:
     """The points whose indices are set in bits."""
     return frozenset(p for i, p in enumerate(all_points(k, n)) if bits >> i & 1)
@@ -30,7 +47,7 @@ def points_in(bits: int, k: int, n: int) -> frozenset[Point]:
 
 def nonzero_points(f: KFunction) -> frozenset[Point]:
     """The points where f is nonzero."""
-    return frozenset(p for p, v in zip(f.points(), f.table) if v)
+    return frozenset(p for p, v in zip(all_points(f.k, f.n), f.table) if v)
 
 
 def star_up_closure(k: int, n: int, seeds) -> frozenset[Point]:
@@ -83,6 +100,6 @@ def star_absorption_instances(rng: random.Random, count: int):
         rest = [t for t in pool if t != ec]
         if rng.random() < 0.5:
             rest = rng.sample(rest, rng.randint(1, len(rest)))
-        rest = [t for t in rest if not t.is_orthogonal_to(ec)]
+        rest = [t for t in rest if not orthogonal(t, ec)]
         out.append((rest, ec))
     return out

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from kdnf import KFunction, functions_equal
+from kdnf import KFunction
 from kdnf.cli import main
 from kdnf.monotone import star_order, total_order
 from kdnf.oracle import oracle_is_monotone
 from kdnf.textio import parse_dnf, print_function
+
+from .instances import dnf_function
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "star_example.kfn")
@@ -87,7 +89,7 @@ class TestMinimize:
         # way; every table but the k=2 n=8 one passes the cap, so refusals
         # are timed too, the n=13 one on 6398 candidate terms
         rng = random.Random(label)
-        f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+        f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
         path = tmp_path / "dense.kfn"
         path.write_text(print_function(f))
         start = time.perf_counter()
@@ -96,7 +98,7 @@ class TestMinimize:
         if code == 0:
             *terms, objective = out.splitlines()
             d = parse_dnf(f"k={k} n={n}\n" + "\n".join(terms) + "\n")
-            assert functions_equal(d.as_function(), f)
+            assert dnf_function(d) == f
             assert objective == f"objective: {len(terms)}"
         else:
             assert code == 3
@@ -128,7 +130,7 @@ class TestDeadend:
     def test_parity_has_the_reduced_dnf_as_its_one_dead_end(self, capsys, tmp_path, n):
         # every term is essential, though the level has 2**(n-1) candidates
         path = tmp_path / "parity.kfn"
-        path.write_text(print_function(KFunction.from_table(2, n, [bin(p).count("1") % 2 for p in range(2**n)])))
+        path.write_text(print_function(KFunction(2, n, [bin(p).count("1") % 2 for p in range(2**n)])))
         code, reduced, _ = run(capsys, "reduce", str(path))
         assert code == 0
         code, out, _ = run(capsys, "deadend", str(path))
@@ -140,7 +142,7 @@ class TestDeadend:
         # the budget counts search nodes, scanned rows and the terms of the
         # DNFs to be built, so the call ends soon either way
         rng = random.Random(label)
-        f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+        f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
         path = tmp_path / "dense.kfn"
         path.write_text(print_function(f))
         start = time.perf_counter()
@@ -151,7 +153,7 @@ class TestDeadend:
             assert lines[0].startswith("# dead-end dnfs: ") and lines[1] == "# 1"
             end = next((i for i, line in enumerate(lines[2:], 2) if line.startswith("# ")), len(lines))
             d = parse_dnf(f"k={k} n={n}\n" + "\n".join(lines[2:end]) + "\n")
-            assert functions_equal(d.as_function(), f)
+            assert dnf_function(d) == f
         else:
             assert code == 3
             assert "dead-end" in err and "cap 1000000" in err

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 
 import pytest
@@ -12,13 +13,14 @@ from kdnf import (
     Interval,
     KFunction,
     PartialKFunction,
-    functions_equal,
+    ValueOrder,
     print_dnf,
     reduced_dnf,
 )
 from kdnf.core import UNDEFINED, _Record, decode_point, encode_point
 
 from .conftest import STAR_EXAMPLE_POINTS, conjunction_and_point, dnf_and_point, ec
+from .instances import dnf_function, orthogonal
 
 
 class TestJValue:
@@ -53,7 +55,7 @@ class TestConjunctionEval:
 
     def test_negative_coordinate_is_outside_every_interval(self):
         assert ec(3, 2, None).value_at((-1,)) == 0
-        assert not Interval.full(3, 2).contains_point((1, -1))
+        assert not Interval(3, (7, 7)).contains_point((1, -1))
 
     @given(conjunction_and_point())
     def test_matches_min_formula(self, arg):
@@ -136,25 +138,21 @@ class TestIntervalPoints:
     def test_size_is_factor_product(self, arg):
         term, _ = arg
         pts = term.interval.points()
-        assert len(pts) == len(set(pts)) == term.interval.size()
+        assert len(pts) == len(set(pts)) == math.prod(f.bit_count() for f in term.interval.factors)
 
 
 class TestOrthogonal:
     def test_disjoint_singletons(self):
         a, b = ec(3, 1, [1]), ec(3, 1, [2])
-        assert a.is_orthogonal_to(b)
+        assert orthogonal(a, b)
 
     def test_handwritten_terms_are_orthogonal(self, handwritten_pair):
         a, b = handwritten_pair.terms
-        assert a.is_orthogonal_to(b)
+        assert orthogonal(a, b)
 
     def test_never_orthogonal_to_itself(self):
         a = ec(3, 2, [0, 1], [2])
-        assert not a.is_orthogonal_to(a)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ec(3, 1, [1]).is_orthogonal_to(ec(3, 1, [1], [1]))
+        assert not orthogonal(a, a)
 
     @pytest.mark.parametrize("k,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
     def test_matches_point_disjointness_exhaustively(self, k, n):
@@ -169,26 +167,27 @@ class TestOrthogonal:
             a = ElementaryConjunction(u, 1)
             for v, pv in zip(ivs, point_sets):
                 expected = pu.isdisjoint(pv)
-                assert a.is_orthogonal_to(ElementaryConjunction(v, 1)) == expected
+                assert orthogonal(a, ElementaryConjunction(v, 1)) == expected
 
 
 class TestFunctionsEqual:
     def test_reflexive(self, star_example):
-        assert functions_equal(star_example, star_example)
+        # equality compares k, n and the table, not identity
+        assert KFunction(star_example.k, star_example.n, bytearray(star_example.table)) == star_example
 
     def test_handwritten_pair_realizes_example(self, star_example, handwritten_pair):
-        assert functions_equal(handwritten_pair.as_function(), star_example)
+        assert dnf_function(handwritten_pair) == star_example
 
     def test_alternative_pair_differs(self, handwritten_pair):
         # swapping the second term for x1=1, x2 in {1,2}, x3=1 loses (1,2,2)
         alt = Dnf(3, 3, (handwritten_pair.terms[0], ec(3, 1, [1], [1, 2], [1])))
-        f, g = handwritten_pair.as_function(), alt.as_function()
-        assert not functions_equal(f, g)
+        f, g = dnf_function(handwritten_pair), dnf_function(alt)
+        assert f != g
         assert f.value((1, 2, 2)) == 1 and g.value((1, 2, 2)) == 0
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            functions_equal(KFunction.constant(2, 2), KFunction.constant(2, 3))
+        # equal tables under different shapes are different functions
+        assert KFunction(2, 2, bytes(4)) != KFunction(4, 1, bytes(4))
 
 
 class TestValidation:
@@ -216,17 +215,17 @@ class TestValidation:
 
     def test_alphabet_bounds(self):
         with pytest.raises(ValueError):
-            Interval.full(1, 2)
+            Interval(1, (1, 1))
         with pytest.raises(ValueError):
-            Interval.full(17, 2)
+            Interval(17, (1, 1))
 
     def test_table_entries_validated(self):
         with pytest.raises(ValueError):
-            KFunction.from_table(2, 1, [0, 2])
+            KFunction(2, 1, [0, 2])
 
     def test_table_length_validated(self):
         with pytest.raises(ValueError):
-            KFunction.from_table(2, 2, [0, 1])
+            KFunction(2, 2, [0, 1])
 
     def test_term_shape_must_match_dnf(self):
         with pytest.raises(ValueError):
@@ -350,3 +349,35 @@ class TestTableStorage:
     def test_an_int_is_not_a_table(self, cls):
         with pytest.raises(TypeError):
             cls(2, 2, 4)
+
+
+SEQUENCE_FIELDS = [
+    pytest.param(lambda seq: Interval(2, seq), "factors", [1, 2], id="Interval"),
+    pytest.param(lambda seq: Dnf(2, 2, seq), "terms", [ec(2, 1, [1], [0]), ec(2, 1, [0], [1])], id="Dnf"),
+    pytest.param(lambda seq: ValueOrder(2, seq), "geq", [1, 3], id="ValueOrder"),
+]
+
+
+class TestSequenceStorage:
+    """Records keep a sequence field as a tuple of their own, as the function
+    records keep their table as bytes."""
+
+    @pytest.mark.parametrize("build,field,items", SEQUENCE_FIELDS)
+    def test_a_list_is_stored_as_a_tuple(self, build, field, items):
+        source = list(items)
+        record = build(source)
+        before = hash(record)
+        source.clear()
+        assert type(getattr(record, field)) is tuple and getattr(record, field) == tuple(items)
+        assert record == build(tuple(items)) and hash(record) == before
+
+    @pytest.mark.parametrize("build,field,items", SEQUENCE_FIELDS)
+    def test_a_tuple_is_kept_as_it_is(self, build, field, items):
+        seq = tuple(items)
+        assert getattr(build(seq), field) is seq
+
+    def test_a_dnf_does_not_grow_after_construction(self):
+        d = Dnf(2, 2, [ec(2, 1, [1], [0])])
+        with pytest.raises(AttributeError):
+            d.terms.append(ec(2, 1, [0], [1]))
+        assert len(d) == 1

@@ -1,23 +1,22 @@
 from hypothesis import given
 
-from kdnf import KFunction, decompose, functions_equal, max_representation
+from kdnf import KFunction, all_points, decompose, max_representation
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
 from .instances import nonzero_points
 
 
 def identity_fn(k: int) -> KFunction:
-    return KFunction.from_table(k, 1, range(k))
+    return KFunction(k, 1, range(k))
 
 
 def test_constant_zero_has_no_levels():
-    assert decompose(KFunction.constant(3, 2)).levels == ()
+    assert decompose(KFunction(3, 2, bytes(3**2))).levels == ()
 
 
 def test_star_example_single_level(star_example):
     dec = decompose(star_example)
-    assert dec.gammas == (1,)
-    assert dec.level_set(1) == frozenset(STAR_EXAMPLE_POINTS)
+    assert dec.levels == ((1, frozenset(STAR_EXAMPLE_POINTS)),)
 
 
 def test_identity_levels():
@@ -32,16 +31,16 @@ def test_single_level_carrier_is_level_set(star_example):
 
 def test_identity_carriers():
     rep = max_representation(decompose(identity_fn(3)))
-    assert rep.carrier(1) == frozenset({(1,), (2,)})
-    assert rep.carrier(2) == frozenset({(2,)})
+    assert rep.carriers == ((1, frozenset({(1,), (2,)})), (2, frozenset({(2,)})))
 
 
 def test_max_of_two_variables_carriers():
-    f = KFunction.from_callable(3, 2, lambda p: max(p))
-    rep = max_representation(decompose(f))
-    assert len(rep.carrier(1)) == 8
-    assert len(rep.carrier(2)) == 5
-    assert rep.carrier(2) == frozenset(p for p in f.points() if max(p) == 2)
+    f = KFunction(3, 2, [max(p) for p in all_points(3, 2)])
+    (g1, carrier1), (g2, carrier2) = max_representation(decompose(f)).carriers
+    assert (g1, g2) == (1, 2)
+    assert len(carrier1) == 8
+    assert len(carrier2) == 5
+    assert carrier2 == frozenset(p for p in all_points(3, 2) if max(p) == 2)
 
 
 @given(kfunctions())
@@ -51,7 +50,7 @@ def test_round_trip(f):
     for g, pts in decompose(f).levels:
         for p in pts:
             values[p] = max(values.get(p, 0), g)
-    assert functions_equal(KFunction.from_map(f.k, f.n, values), f)
+    assert KFunction.from_map(f.k, f.n, values) == f
 
 
 @given(kfunctions())
@@ -63,7 +62,8 @@ def test_levels_partition_the_support(f):
         assert not union & pts
         union |= pts
     assert union == nonzero_points(f)
-    assert list(dec.gammas) == sorted(dec.gammas)
+    gammas = [g for g, _ in dec.levels]
+    assert gammas == sorted(gammas)
 
 
 @given(kfunctions())
@@ -79,4 +79,4 @@ def test_carrier_difference_is_the_level_set(f):
     rep = max_representation(dec)
     for i, (g, carrier) in enumerate(rep.carriers):
         higher = rep.carriers[i + 1][1] if i + 1 < len(rep.carriers) else frozenset()
-        assert carrier - higher == dec.level_set(g)
+        assert carrier - higher == dict(dec.levels)[g]

@@ -22,9 +22,9 @@ from kdnf import (
     absorbs,
     absorbs_zero_free,
     absorption_witness,
+    all_points,
     cover_instance,
     dead_end_dnfs,
-    functions_equal,
     minimize_dnf,
     reduced_dnf,
     star_order,
@@ -38,7 +38,7 @@ from kdnf.reduce import _interval_bits
 from kdnf.textio import print_dnf
 
 from .conftest import ec
-from .instances import star_absorption_instances
+from .instances import dnf_function, star_absorption_instances, without
 
 
 class TestAbsorbs:
@@ -281,7 +281,7 @@ def reference_dead_end_dnfs(f: KFunction, pool: ReducedDnf, cap: int = SUBSET_CA
 
 class TestDeadEnds:
     def test_single_interval_per_level(self):
-        f = KFunction.from_table(3, 1, (0, 1, 2))
+        f = KFunction(3, 1, (0, 1, 2))
         pool = reduced_dnf(f)
         assert dead_end_dnfs(f, pool) == [pool.dnf]
 
@@ -299,16 +299,16 @@ class TestDeadEnds:
     def test_every_dead_end_realizes_and_is_irredundant(self):
         rng = random.Random(11)
         for _ in range(40):
-            f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+            f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
             pool = reduced_dnf(f)
             ends = dead_end_dnfs(f, pool)
             assert ends
             for d in ends:
-                assert functions_equal(d.as_function(), f)
+                assert dnf_function(d) == f
                 for i in range(len(d.terms)):
-                    smaller = d.without(i)
+                    smaller = without(d, i)
                     witness = next(
-                        p for p in f.points()
+                        p for p in all_points(f.k, f.n)
                         if smaller.value_at(p) != f.value(p)
                     )
                     assert smaller.value_at(witness) < f.value(witness)
@@ -320,7 +320,7 @@ class TestDeadEnds:
         seen = 0
         while seen < 12:
             k, n = rng.choice([(2, 4), (3, 2)])
-            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
             pool = reduced_dnf(f)
             terms = pool.dnf.terms
             if not 6 <= len(terms) <= 10:
@@ -329,8 +329,8 @@ class TestDeadEnds:
             expected = []
             for mask in range(1 << len(terms)):
                 d = Dnf(k, n, tuple(t for i, t in enumerate(terms) if mask >> i & 1))
-                if functions_equal(d.as_function(), f) and not any(
-                    functions_equal(d.without(i).as_function(), f) for i in range(len(d.terms))
+                if dnf_function(d) == f and not any(
+                    dnf_function(without(d, i)) == f for i in range(len(d.terms))
                 ):
                     expected.append(d)
             expected.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
@@ -342,18 +342,18 @@ class TestDeadEnds:
         rng = random.Random(1)
         checked = 0
         for _ in range(20):
-            f = KFunction.from_table(2, 3, [rng.randrange(2) for _ in range(8)])
+            f = KFunction(2, 3, [rng.randrange(2) for _ in range(8)])
             pool = reduced_dnf(f)
             for i in range(len(pool.dnf.terms)):
-                d = pool.dnf.without(i)
-                if functions_equal(d.as_function(), f):
+                d = without(pool.dnf, i)
+                if dnf_function(d) == f:
                     checked += 1
                     for end in dead_end_dnfs(f, ReducedDnf(d, pool.levels)):
                         assert set(end.terms) <= set(d.terms)
         assert checked
 
     def test_pool_must_realize(self, star_example):
-        other = KFunction.constant(3, 3)
+        other = KFunction(3, 3, bytes(3**3))
         with pytest.raises(ValueError):
             dead_end_dnfs(other, reduced_dnf(star_example))
 
@@ -361,7 +361,7 @@ class TestDeadEnds:
         # both levels need a search past their essentials: 2 and 5 covers,
         # so 10 dead ends of 46 terms in all
         rng = random.Random(5)
-        f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+        f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
         pool = reduced_dnf(f)
         assert len(dead_end_dnfs(f, pool)) == 10
         monkeypatch.setattr(kdnf.minimize, "SUBSET_CAP", 10)
@@ -381,7 +381,7 @@ class TestDeadEnds:
         for i in range(216):
             k, n = shapes[i % len(shapes)]
             rng = random.Random(f"deadend:{i}")
-            functions.append(KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)]))
+            functions.append(KFunction(k, n, [rng.randrange(k) for _ in range(k**n)]))
         compared = 0
         for f in functions:
             pool = reduced_dnf(f)
@@ -402,14 +402,14 @@ class TestDeadEnds:
 
 class TestMinimize:
     def test_constant_zero(self):
-        res = minimize_dnf(KFunction.constant(2, 2))
+        res = minimize_dnf(KFunction(2, 2, bytes(2**2)))
         assert res.dnf.terms == () and res.objective_value == 0
 
     def test_star_example_two_terms(self, star_example, handwritten_pair):
         res = minimize_dnf(star_example, METRIC_TERMS)
         assert res.objective_value == 2
         assert res.dnf == handwritten_pair.canonical()
-        assert functions_equal(res.dnf.as_function(), star_example)
+        assert dnf_function(res.dnf) == star_example
 
     def test_star_example_rank_metric(self, star_example, handwritten_pair):
         res = minimize_dnf(star_example, METRIC_RANK)
@@ -434,7 +434,7 @@ class TestMinimize:
     def test_matches_oracle_exhaustively_k2(self):
         for n in (1, 2, 3):
             for table in itertools.product(range(2), repeat=2**n):
-                f = KFunction.from_table(2, n, table)
+                f = KFunction(2, n, table)
                 for metric in (METRIC_TERMS, METRIC_RANK):
                     fast = minimize_dnf(f, metric)
                     slow = oracle_minimize(f, metric)
@@ -444,7 +444,7 @@ class TestMinimize:
     def test_matches_oracle_random_k3(self):
         rng = random.Random(314)
         for _ in range(60):
-            f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+            f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
             for metric in (METRIC_TERMS, METRIC_RANK):
                 fast = minimize_dnf(f, metric)
                 slow = oracle_minimize(f, metric)
@@ -454,7 +454,7 @@ class TestMinimize:
         # optimum <= any dead-end size <= reduced size
         rng = random.Random(21)
         for _ in range(25):
-            f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+            f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
             pool = reduced_dnf(f)
             best = minimize_dnf(f, METRIC_TERMS).objective_value
             for d in dead_end_dnfs(f, pool):
@@ -463,7 +463,7 @@ class TestMinimize:
     def test_parity_k2_n11_matches_closed_form(self):
         # 2**10 minterms of rank 11 each; every term is essential, so the
         # root takes them all and the search never branches
-        f = KFunction.from_callable(2, 11, lambda p: sum(p) % 2)
+        f = KFunction(2, 11, [sum(p) % 2 for p in all_points(2, 11)])
         assert minimize_dnf(f, METRIC_TERMS).objective_value == 1024
         assert minimize_dnf(f, METRIC_RANK).objective_value == 11264
 
@@ -550,7 +550,7 @@ def reference_best_cover(level, metric: str, budget: list[int]) -> tuple[int, ..
 
 def random_levels(label: str, k: int, n: int):
     rng = random.Random(label)
-    f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
     return f, cover_instance(f, reduced_dnf(f)).levels
 
 
@@ -676,7 +676,7 @@ class TestSearchOrder:
     def test_node_use_and_choice_are_pinned(self):
         for (k, n, seed, metric), expected in SEARCH_PIN.items():
             rng = random.Random(f"{k}:{n}:{seed}")
-            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
             budget, got = [SUBSET_CAP], []
             for level in cover_instance(f, reduced_dnf(f)).levels:
                 before = budget[0]
@@ -689,11 +689,11 @@ class TestRemoveStep:
     def test_duplicate_term_removal_accepted(self):
         term = ec(3, 1, [1], [2])
         d = Dnf(3, 2, (term, term))
-        assert absorbs(d.without(0), term)
-        assert d.without(0) == Dnf(3, 2, (term,))
+        assert absorbs(without(d, 0), term)
+        assert without(d, 0) == Dnf(3, 2, (term,))
 
     def test_needed_term_rejected_with_witness(self, handwritten_pair):
-        witness = absorption_witness(handwritten_pair.without(1), handwritten_pair.terms[1])
+        witness = absorption_witness(without(handwritten_pair, 1), handwritten_pair.terms[1])
         assert witness in {(1, 2, 1), (1, 2, 2)}
         assert handwritten_pair.terms[1].value_at(witness) == 1
 
@@ -704,22 +704,18 @@ class TestRemoveStep:
             i for i, t in enumerate(pool.terms)
             if t.interval.factors == (0b010, 0b110, 0b010)
         )
-        assert absorbs(pool.without(index), pool.terms[index])
-        assert functions_equal(pool.without(index).as_function(), star_example)
+        assert absorbs(without(pool, index), pool.terms[index])
+        assert dnf_function(without(pool, index)) == star_example
 
     def test_acceptance_iff_absorption(self):
         # dropping a term keeps the function exactly when the rest absorb it
         rng = random.Random(37)
         for _ in range(30):
-            f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+            f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
             pool = reduced_dnf(f).dnf
             for i in range(len(pool.terms)):
-                kept = functions_equal(pool.without(i).as_function(), f)
-                assert kept == absorbs(pool.without(i), pool.terms[i])
-
-    def test_invalid_index(self, handwritten_pair):
-        with pytest.raises(ValueError):
-            handwritten_pair.without(2)
+                kept = dnf_function(without(pool, i)) == f
+                assert kept == absorbs(without(pool, i), pool.terms[i])
 
 
 class TestCoverInstance:
@@ -732,16 +728,16 @@ class TestCoverInstance:
 
     def test_rejects_non_realizing_pool(self, star_example):
         with pytest.raises(ValueError):
-            cover_instance(KFunction.constant(3, 3, 2), reduced_dnf(star_example))
+            cover_instance(KFunction(3, 3, bytes([2]) * 3**3), reduced_dnf(star_example))
 
     @pytest.mark.parametrize("k,n", [(2, 5), (3, 3), (4, 2)])
     def test_covers_match_pointwise_reference(self, k, n):
         rng = random.Random(9000 + 10 * k + n)
         for _ in range(20):
-            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
             inst = cover_instance(f, reduced_dnf(f))
             for level in inst.levels:
-                assert level.universe == tuple(p for p in f.points() if f.value(p) == level.gamma)
+                assert level.universe == tuple(p for p in all_points(k, n) if f.value(p) == level.gamma)
                 for t, c in zip(level.candidates, level.covers, strict=True):
                     reference = sum(
                         1 << encode_point(p, k) for p in level.universe if t.interval.contains_point(p)
@@ -758,11 +754,21 @@ class TestCoverInstance:
             with pytest.raises(ValueError, match=r"needs a total function \(KFunction\)"):
                 call()
 
+    @pytest.mark.parametrize("metric", [METRIC_TERMS, METRIC_RANK])
+    def test_minimize_refuses_a_partial_function_before_reducing(self, star_example, monkeypatch, metric):
+        def no_reduce(f):
+            raise AssertionError("reduced a function that minimize_dnf refuses")
+
+        monkeypatch.setattr(kdnf.minimize, "reduced_dnf", no_reduce)
+        func = PartialKFunction(3, 3, star_example.table)
+        with pytest.raises(ValueError, match=r"needs a total function \(KFunction\)"):
+            minimize_dnf(func, metric)
+
     def test_raises_exactly_when_the_pool_does_not_realize(self):
         def perturbed(f, d):
             """(function, DNF) pairs one change away from (f, d)."""
             for i in range(len(d.terms)):
-                yield f, d.without(i)
+                yield f, without(d, i)
             for i, t in enumerate(d.terms):
                 for gamma in (t.gamma - 1, t.gamma + 1):
                     if 1 <= gamma < f.k:
@@ -776,10 +782,10 @@ class TestCoverInstance:
         rng = random.Random(4242)
         outcomes = set()
         for k, n in [(2, 3), (3, 2), (3, 3), (4, 2)] * 5:
-            f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+            f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
             pool = reduced_dnf(f)
             for g, d in perturbed(f, pool.dnf):
-                realizes = functions_equal(d.as_function(), g)
+                realizes = dnf_function(d) == g
                 outcomes.add(realizes)
                 if realizes:
                     cover_instance(g, ReducedDnf(d, pool.levels))

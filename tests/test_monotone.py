@@ -11,6 +11,7 @@ from kdnf import (
     KFunction,
     PartialKFunction,
     ValueOrder,
+    all_points,
     chain_shape_report,
     count_monotone_exact,
     is_monotone,
@@ -29,15 +30,15 @@ from kdnf.oracle import oracle_is_monotone
 class TestOrders:
     def test_total_is_the_chain(self):
         order = total_order(3)
-        assert order.dominates(2, 0) and order.dominates(2, 1)
-        assert not order.dominates(1, 2)
+        assert order.leq(0, 2) and order.leq(1, 2)
+        assert not order.leq(2, 1)
         assert order.cover_pairs() == ((0, 1), (1, 2))
 
     def test_star_shape(self):
         order = star_order(3)
-        assert order.dominates(1, 0) and order.dominates(2, 0)
-        assert not order.dominates(2, 1) and not order.dominates(1, 2)
-        assert not order.dominates(0, 1)
+        assert order.leq(0, 1) and order.leq(0, 2)
+        assert not order.leq(1, 2) and not order.leq(2, 1)
+        assert not order.leq(1, 0)
         assert order.cover_pairs() == ((0, 1), (0, 2))
 
     def test_star_equals_total_for_k2(self):
@@ -45,7 +46,7 @@ class TestOrders:
 
     def test_boolean_order(self):
         order = total_order(2)
-        assert order.dominates(1, 0) and not order.dominates(0, 1)
+        assert order.leq(0, 1) and not order.leq(1, 0)
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -73,10 +74,10 @@ class TestOrders:
 class TestIsMonotone:
     def test_constant_functions(self):
         for order in (total_order(3), star_order(3)):
-            assert is_monotone(KFunction.constant(3, 2, 2), order)
+            assert is_monotone(KFunction(3, 2, bytes([2]) * 3**2), order)
 
     def test_max_is_chain_monotone(self):
-        f = KFunction.from_callable(3, 2, lambda p: max(p))
+        f = KFunction(3, 2, [max(p) for p in all_points(3, 2)])
         assert is_monotone(f, total_order(3))
 
     def test_witness_pairs_really_violate(self):
@@ -97,7 +98,7 @@ class TestIsMonotone:
     def test_covering_pairs_equal_all_pairs_exhaustive_k2(self):
         for n in (1, 2):
             for table in itertools.product(range(2), repeat=2**n):
-                f = KFunction.from_table(2, n, table)
+                f = KFunction(2, n, table)
                 assert is_monotone(f, total_order(2)) == oracle_is_monotone(
                     f, total_order(2)
                 )
@@ -105,14 +106,14 @@ class TestIsMonotone:
     def test_covering_pairs_equal_all_pairs_random_k3(self):
         rng = random.Random(5150)
         for _ in range(120):
-            f = KFunction.from_table(3, 2, [rng.randrange(3) for _ in range(9)])
+            f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
             for order in (total_order(3), star_order(3)):
                 assert is_monotone(f, order) == oracle_is_monotone(f, order)
 
 
 class TestChainShapeReport:
     def test_identity_function(self):
-        report = chain_shape_report(KFunction.from_table(3, 1, range(3)))
+        report = chain_shape_report(KFunction(3, 1, range(3)))
         assert report.factors_upper
         assert report.dead_end_count == 1 and report.dead_end_equals_reduced
         rendered = [
@@ -123,7 +124,7 @@ class TestChainShapeReport:
         assert report.cores_exclusive
 
     def test_min_function(self):
-        report = chain_shape_report(KFunction.from_callable(3, 2, lambda p: min(p)))
+        report = chain_shape_report(KFunction(3, 2, [min(p) for p in all_points(3, 2)]))
         assert report.factors_upper and report.dead_end_equals_reduced
         assert report.cores_exclusive
 
@@ -135,7 +136,7 @@ class TestChainShapeReport:
             assert _is_upper_interval(mask, k) == (values == list(range(values[0], k)))
 
     def test_constant_level(self):
-        report = chain_shape_report(KFunction.constant(3, 2, 2))
+        report = chain_shape_report(KFunction(3, 2, bytes([2]) * 3**2))
         assert len(report.reduced.dnf.terms) == 1
         assert report.reduced.dnf.terms[0].rank == 0
         assert report.dead_end_count == 1
@@ -182,7 +183,7 @@ def brute_count(n: int, k: int, order) -> int:
     pts = list(itertools.product(range(k), repeat=n))
     count = 0
     for table in itertools.product(range(k), repeat=k**n):
-        f = KFunction.from_table(k, n, table)
+        f = KFunction(k, n, table)
         if all(
             order.leq(f.value(p), f.value(q))
             for p in pts
@@ -262,7 +263,7 @@ class TestChainSweepShape:
 
 def ref_monotone_witness(f, order):
     covers = order.cover_pairs()
-    for p in f.points():
+    for p in all_points(f.k, f.n):
         fp = f.value(p)
         for i, x in enumerate(p):
             for low, high in covers:
@@ -337,7 +338,7 @@ def near_monotone(k, n, order, rng):
     values = [table[p] for p in itertools.product(range(k), repeat=n)]
     for _ in range(rng.randrange(3)):
         values[rng.randrange(k**n)] = rng.randrange(k)
-    return KFunction.from_table(k, n, values)
+    return KFunction(k, n, values)
 
 
 SHAPES = [(k, n) for k in range(2, 6) for n in range(1, 5) if k**n <= 625]
@@ -367,14 +368,14 @@ class TestBitsetWitness:
 
     @pytest.mark.parametrize("order", [total_order(2), star_order(2)], ids=["total", "star"])
     def test_constant_one_k2_n20(self, order):
-        one = KFunction.constant(2, 20, 1)
+        one = KFunction(2, 20, bytes([1]) * 2**20)
         assert monotone_witness(one, order) is None
         top_zero = KFunction(2, 20, one.table[:-1] + bytes(1))
         assert monotone_witness(top_zero, order) == ((0,) + (1,) * 19, (1,) * 20)
 
     def test_order_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="alphabet mismatch"):
-            monotone_witness(KFunction.constant(3, 2, 1), total_order(2))
+            monotone_witness(KFunction(3, 2, bytes([1]) * 3**2), total_order(2))
 
     def test_partial_function_refused(self):
         f = PartialKFunction.from_map(3, 2, {(0, 0): 1, (2, 2): 0})

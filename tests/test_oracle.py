@@ -16,7 +16,7 @@ from .instances import carrier_of, nonzero_points
 
 def test_full_boolean_square_has_one_maximal_interval():
     c = carrier_of(2, 2, itertools.product(range(2), repeat=2))
-    assert oracle_maximal_intervals(c) == [Interval.full(2, 2)]
+    assert oracle_maximal_intervals(c) == [Interval(2, (3, 3))]
 
 
 def test_empty_carrier():
@@ -49,7 +49,7 @@ def test_absorbs_cap():
 
 
 def test_minimize_constant_zero():
-    res = oracle_minimize(KFunction.constant(2, 2))
+    res = oracle_minimize(KFunction(2, 2, bytes(2**2)))
     assert res.dnf == Dnf(2, 2) and res.objective_value == 0
 
 
@@ -63,5 +63,5 @@ def test_minimize_single_point_function():
 def test_is_monotone_definition_check(star_example):
     from kdnf import star_order, total_order
 
-    assert oracle_is_monotone(KFunction.constant(3, 2, 1), total_order(3))
+    assert oracle_is_monotone(KFunction(3, 2, bytes([1]) * 3**2), total_order(3))
     assert oracle_is_monotone(star_example, star_order(3))

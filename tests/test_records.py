@@ -1,6 +1,7 @@
 """The contract every kdnf record keeps: value equality within one class,
 hashing over the compared fields, a fixed repr, immutability, pickling and
-copying, keyword construction and the constructors' validation."""
+copying, positional and keyword construction, the constructors' validation
+and the binding rules of the constructor the plain records share."""
 
 import copy
 import os
@@ -27,6 +28,7 @@ from kdnf import (
     ReducedDnf,
     ValueOrder,
 )
+from kdnf.core import _Record
 from kdnf.minimize import LevelCover
 from kdnf.reduce import LevelTerms
 
@@ -103,6 +105,34 @@ def test_record_contract(cls, kwargs, text, bad):
         bad_kwargs, message = bad
         with pytest.raises(ValueError, match=message):
             cls(**bad_kwargs)
+
+
+# the records that do no validation and take _Record's constructor
+INHERITING = [(cls, kwargs) for cls, kwargs, _, _ in CASES if cls.__init__ is _Record.__init__]
+
+
+def test_the_plain_records_inherit_the_shared_constructor():
+    assert {cls.__name__ for cls, _ in INHERITING} == {
+        "LevelTerms", "ReducedDnf", "LevelCover", "CoverInstance", "MinimizationResult", "PsiEstimate",
+        "ChainShapeReport", "LevelDecomposition", "MaxRepresentation",
+    }
+
+
+@pytest.mark.parametrize("cls,kwargs", INHERITING, ids=[c[0].__name__ for c in INHERITING])
+def test_shared_constructor_binds_each_field_once(cls, kwargs):
+    values = list(kwargs.values())
+    first, *rest = kwargs
+    assert cls(values[0], **{name: kwargs[name] for name in rest}) == cls(**kwargs)
+    with pytest.raises(TypeError, match="takes the fields"):  # a missing field, positionally
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="takes the fields"):  # a missing field, by keyword
+        cls(**{name: kwargs[name] for name in rest})
+    with pytest.raises(TypeError, match="takes the fields"):  # an extra positional value
+        cls(*values, None)
+    with pytest.raises(TypeError, match="unknown or repeated field 'extra'"):
+        cls(**kwargs, extra=None)
+    with pytest.raises(TypeError, match=f"unknown or repeated field '{first}'"):
+        cls(values[0], **kwargs)
 
 
 def test_copies_of_a_carrier_keep_its_bits():

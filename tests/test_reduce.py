@@ -10,7 +10,6 @@ from kdnf import (
     Interval,
     KFunction,
     PartialKFunction,
-    functions_equal,
     maximal_intervals,
     reduced_dnf,
     reduced_dnf_partial,
@@ -19,7 +18,7 @@ from kdnf.core import UNDEFINED
 from kdnf.oracle import oracle_maximal_intervals
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
-from .instances import carrier_of, points_in, star_up_closure
+from .instances import carrier_of, dnf_function, points_in, star_up_closure
 
 
 def iv(k, *factors):
@@ -32,7 +31,7 @@ EXAMPLE_CARRIER = carrier_of(3, 3, STAR_EXAMPLE_POINTS)
 class TestMaximalIntervals:
     def test_full_lattice_single_interval(self):
         full = carrier_of(2, 3, itertools.product(range(2), repeat=3))
-        assert maximal_intervals(full) == [Interval.full(2, 3)]
+        assert maximal_intervals(full) == [Interval(2, (3, 3, 3))]
 
     def test_star_example_carrier(self):
         got = maximal_intervals(EXAMPLE_CARRIER)
@@ -78,7 +77,7 @@ def assert_random_carriers_match_oracle(k, n, count, seed, dense=False):
 class TestIsMaximalIn:
     def test_full_in_full(self):
         full = carrier_of(3, 2, itertools.product(range(3), repeat=2))
-        assert maximal_intervals(full) == [Interval.full(3, 2)]
+        assert maximal_intervals(full) == [Interval(3, (7, 7))]
 
     def test_extendable_singleton(self):
         single = iv(3, [1], [1], [1])
@@ -92,7 +91,7 @@ class TestIsMaximalIn:
 
 class TestReducedDnf:
     def test_constant_zero(self):
-        assert reduced_dnf(KFunction.constant(3, 2)).dnf.terms == ()
+        assert reduced_dnf(KFunction(3, 2, bytes(3**2))).dnf.terms == ()
 
     def test_star_example_terms(self, star_example):
         pool = reduced_dnf(star_example)
@@ -104,26 +103,26 @@ class TestReducedDnf:
         assert iv(3, [1], [2], [1, 2]).factors in keys
 
     def test_identity_function(self):
-        pool = reduced_dnf(KFunction.from_table(3, 1, range(3)))
+        pool = reduced_dnf(KFunction(3, 1, range(3)))
         rendered = [(t.gamma, t.interval.factors) for t in pool.dnf.terms]
         assert rendered == [(1, (0b110,)), (2, (0b100,))]
 
     def test_realization_exhaustive_k2(self):
         for n in (1, 2, 3):
             for table in itertools.product(range(2), repeat=2**n):
-                f = KFunction.from_table(2, n, table)
-                assert functions_equal(reduced_dnf(f).dnf.as_function(), f)
+                f = KFunction(2, n, table)
+                assert dnf_function(reduced_dnf(f).dnf) == f
 
     def test_realization_exhaustive_k3_n1(self):
         for table in itertools.product(range(3), repeat=3):
-            f = KFunction.from_table(3, 1, table)
-            assert functions_equal(reduced_dnf(f).dnf.as_function(), f)
+            f = KFunction(3, 1, table)
+            assert dnf_function(reduced_dnf(f).dnf) == f
 
     def test_realization_random_k3_n3(self):
         rng = random.Random(513)
         for _ in range(500):
-            f = KFunction.from_table(3, 3, [rng.randrange(3) for _ in range(27)])
-            assert functions_equal(reduced_dnf(f).dnf.as_function(), f)
+            f = KFunction(3, 3, [rng.randrange(3) for _ in range(27)])
+            assert dnf_function(reduced_dnf(f).dnf) == f
 
     @given(kfunctions())
     def test_terms_are_maximal_and_unnested(self, f):
@@ -157,7 +156,7 @@ class TestReducedDnfPartial:
     def test_single_point_no_forbidden(self):
         func = PartialKFunction.from_map(3, 2, {(1, 2): 1})
         pool = reduced_dnf_partial(func)
-        assert [t.interval for t in pool.dnf.terms] == [Interval.full(3, 2)]
+        assert [t.interval for t in pool.dnf.terms] == [Interval(3, (7, 7))]
         assert pool.dnf.terms[0].gamma == 1
 
     def test_everything_else_zero(self):
@@ -222,7 +221,7 @@ class TestReduceWorkCap:
     def test_cap_raises_capacity_error_naming_the_stage(self, monkeypatch):
         monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", 20)
         rng = random.Random(7)
-        f = KFunction.from_table(3, 3, [rng.randrange(3) for _ in range(27)])
+        f = KFunction(3, 3, [rng.randrange(3) for _ in range(27)])
         with pytest.raises(CapacityError, match="reduce stage") as info:
             reduced_dnf(f)
         # distinct from the minimization node-cap message
@@ -258,7 +257,7 @@ REDUCE_UNITS = {
 
 def _random_table(k, n, seed):
     rng = random.Random(f"s4:{k}:{n}:{seed}")
-    return KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    return KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
 
 
 @pytest.mark.parametrize("k,n,s", sorted(REDUCE_UNITS))
@@ -279,7 +278,7 @@ def test_emitted_bits_are_the_terms_maximal_intervals(k, n, table_seed):
     from kdnf.reduce import _interval_bits
 
     rng = random.Random(table_seed)
-    f = KFunction.from_table(k, n, [rng.randrange(k) for _ in range(k**n)])
+    f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
     for lt in reduced_dnf(f).levels:
         for t, bits in zip(lt.terms, lt.term_bits):
             masks = t.interval.factors

@@ -42,7 +42,7 @@ class TestParseFunction:
 
     def test_empty_body_is_constant_default(self):
         f = parse_function("k=2 n=1 mode=total\n")
-        assert f == KFunction.constant(2, 1)
+        assert f == KFunction(2, 1, bytes(2**1))
 
     def test_total_default_value(self):
         f = parse_function("k=3 n=1 mode=total default=2\n0 -> 1\n")
