@@ -62,8 +62,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_minimize(args) -> int:
     func = _total_function(args.file, "minimize")
-    metric = METRIC_TERMS if args.metric == "terms" else METRIC_RANK
-    result = minimize_dnf(func, metric)
+    result = minimize_dnf(func, args.metric)
     sys.stdout.write(print_dnf(result.dnf))
     sys.stdout.write(f"objective: {result.objective_value}\n")
     return EXIT_OK
@@ -133,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="print an exact optimal DNF and its objective")
     p.add_argument("file")
-    p.add_argument("--metric", choices=["terms", "rank"], default="terms")
+    p.add_argument("--metric", choices=[METRIC_TERMS, METRIC_RANK], default=METRIC_TERMS)
     p.set_defaults(run=_cmd_minimize)
 
     p = sub.add_parser("deadend", help="print every dead-end DNF")

@@ -14,12 +14,12 @@ MAX_TABLE.  A total function holds a value below k at every index; a
 partial one holds UNDEFINED (255, above every value) at its undefined
 points, so a total function is a partial one with every point defined.
 
-Every type here is an immutable record on one small base (_Record): a
-plain class with __slots__ whose fields are set once, at construction.
+Every public type here is an immutable record on one small base (_Record):
+a plain class with __slots__ whose fields are set once, at construction.
 Plain records inherit _Record's constructor, which takes the fields
 positionally or by keyword; the validating records here define their own,
 check their arguments and set their fields themselves.  Assigning or
-deleting a field raises AttributeError.
+deleting a field raises AttributeError.  The private _Budget is mutable.
 Two records are equal when they have the same class and the same fields,
 and hash over those fields.  They pickle and copy through __reduce__.  No
 code is generated for them, so the standard library's field helpers
@@ -43,6 +43,20 @@ Point = tuple[int, ...]
 
 class CapacityError(Exception):
     """A desk-scale resource cap was exceeded.  No partial answer is given."""
+
+
+class _Budget:
+    """Work units left to a capped stage; spend raises CapacityError(message) below 0."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, cap: int, message: str) -> None:
+        self.left, self.message = cap, message
+
+    def spend(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise CapacityError(self.message)
 
 
 def check_alphabet(k: int) -> None:

@@ -44,6 +44,7 @@ from .core import (
     ElementaryConjunction,
     KFunction,
     Point,
+    _Budget,
     _fits_table,
     _Record,
     decode_point,
@@ -242,29 +243,24 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
     as its covers are found, so refusals come early).
     """
     inst = cover_instance(f, pool)
-    budget = [SUBSET_CAP]
-
-    def spend(units: int) -> None:
-        budget[0] -= units
-        if budget[0] < 0:
-            raise CapacityError(f"level {level.gamma}: dead-end enumeration exceeded the work cap {SUBSET_CAP}")
-
+    budget = _Budget(SUBSET_CAP, "")
     per_level = []  # each level's irredundant covers, as lists of terms
     for level in inst.levels:
-        taken, rows = _root(level, level.candidates, level.covers, spend)
+        budget.message = f"level {level.gamma}: dead-end enumeration exceeded the work cap {SUBSET_CAP}"
+        taken, rows = _root(level, level.candidates, level.covers, budget.spend)
         cols = _index(rows, len(level.candidates))
         found = []
         # chosen and candidate columns, uncovered rows, rows the chosen cover once
         stack = [(0, functools.reduce(operator.or_, rows, 0), (1 << len(rows)) - 1, 0)]
         while stack:
             chosen, cand, free, once = stack.pop()
-            spend(1)
+            budget.spend(1)
             if not free:
                 found.append(taken | chosen)
-                spend(found[-1].bit_count())  # its terms, paid ahead of the product
+                budget.spend(found[-1].bit_count())  # its terms, paid ahead of the product
                 continue
             branch = min((rows[r] & cand for r in _set_bits(free)), key=int.bit_count)
-            spend(free.bit_count() + branch.bit_count())
+            budget.spend(free.bit_count() + branch.bit_count())
             cand &= ~branch
             for c in _set_bits(branch):
                 lost = once & cols[c]  # private rows of earlier choices that c covers too
@@ -274,17 +270,17 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
                 if not lost:
                     stack.append((chosen | 1 << c, cand, free & ~cols[c], alone))
                 cand |= 1 << c
-        per_level.append([[level.candidates[i] for i in _set_bits(cover)] for cover in found])
+        # a level's irredundant covers never contain one another, so no cover's key list is a
+        # prefix of another's: sorted by key, the product over the levels is in canonical order
+        key = ElementaryConjunction.sort_key
+        covers = [sorted([level.candidates[i] for i in _set_bits(c)], key=key) for c in found]
+        per_level.append(sorted(covers, key=lambda terms: list(map(key, terms))))
     combos = math.prod(map(len, per_level))
     # each of a level's covers is in combos // len(covers) DNFs, one of them paid for
-    shares = [(combos // len(covers), sum(map(len, covers))) for covers in per_level]
-    if sum((share - 1) * size for share, size in shares) > budget[0]:
-        terms = sum(share * size for share, size in shares)
-        raise CapacityError(f"{combos} dead-end DNFs of {terms} terms in all exceed the cap {SUBSET_CAP}")
-    results = [Dnf(f.k, f.n, sorted(itertools.chain(*choice), key=ElementaryConjunction.sort_key))
-               for choice in itertools.product(*per_level)]
-    results.sort(key=lambda d: tuple(t.sort_key() for t in d.terms))
-    return results
+    terms = sum(combos // len(covers) * sum(map(len, covers)) for covers in per_level)
+    budget.message = f"{combos} dead-end DNFs of {terms} terms in all exceed the cap {SUBSET_CAP}"
+    budget.spend(terms - sum(len(cover) for covers in per_level for cover in covers))
+    return [Dnf(f.k, f.n, itertools.chain(*choice)) for choice in itertools.product(*per_level)]
 
 
 class MinimizationResult(_Record):
@@ -295,7 +291,7 @@ def _term_cost(t: ElementaryConjunction, metric: str) -> tuple[int, int]:
     return (1, t.rank) if metric == METRIC_TERMS else (t.rank, 1)
 
 
-def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int, ...]:
+def _best_cover(level: LevelCover, metric: str, budget: _Budget) -> tuple[int, ...]:
     """Exact minimum-cost cover of one level by branch and bound.
 
     Cost order is lexicographic: primary objective, secondary objective, then
@@ -355,20 +351,12 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     pairs = [_term_cost(t, metric) for t in terms]
     w = 1 + sum(s for _, s in pairs)
     cost = [w * p + s for p, s in pairs]
-    left = budget[0]
     wide = 1 + len(terms) // 1024  # units per charge, see the docstring
-
-    def spend(units: int) -> None:
-        nonlocal left
-        left -= units * wide
-        budget[0] = left
-        if left < 0:
-            raise CapacityError("minimization search exceeded the node cap")
 
     def indices(columns: int) -> tuple[int, ...]:
         return tuple(sorted(order[c] for c in _set_bits(columns)))
 
-    taken, rows = _root(level, terms, covers, spend)
+    taken, rows = _root(level, terms, covers, lambda units: budget.spend(units * wide))
     if not rows:
         return indices(taken)
 
@@ -397,7 +385,7 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
 
     alive = functools.reduce(operator.or_, rows)
     while True:  # reduce to the cyclic core
-        spend(sum(map(int.bit_count, rows)))
+        budget.spend(sum(map(int.bit_count, rows)) * wide)
         single = functools.reduce(operator.or_, (h for h in rows if not h & h - 1), 0)
         if single:
             taken |= single
@@ -437,11 +425,11 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
     stack = [(every, alive, taken, sum(cost[c] for c in _set_bits(taken)))]
     while stack:
         free, allowed, chosen, spent = stack.pop()
-        spend(1)
+        budget.spend(wide)
         while True:  # again after taking essential columns or excluding columns
             if spent > least:
                 break
-            spend(free.bit_count())
+            budget.spend(free.bit_count() * wide)
             ess = reach = 0
             held = []
             x = free
@@ -466,7 +454,7 @@ def _best_cover(level: LevelCover, metric: str, budget: list[int]) -> tuple[int,
                     if spent < least or chosen > best:
                         least, best = spent, chosen
                     break
-                spend(sum(map(int.bit_count, held)))
+                budget.spend(sum(map(int.bit_count, held)) * wide)
                 degree = {h: met(h, free) for h in held}
                 # branch on a row with the fewest holders, the most constrained
                 # of them; bound with the rows meeting the fewest others first
@@ -519,7 +507,7 @@ def minimize_dnf(f: KFunction, metric: str = METRIC_TERMS) -> MinimizationResult
     _check_total(f)  # before the reduce, which would take a partial function
     pool = reduced_dnf(f)
     inst = cover_instance(f, pool)
-    budget = [SUBSET_CAP]
+    budget = _Budget(SUBSET_CAP, "minimization search exceeded the node cap")
     terms = [level.candidates[i] for level in inst.levels for i in _best_cover(level, metric, budget)]
     terms.sort(key=ElementaryConjunction.sort_key)
     dnf = Dnf(f.k, f.n, terms)

@@ -48,13 +48,13 @@ import functools
 
 from .core import (
     UNDEFINED,
-    CapacityError,
     Dnf,
     ElementaryConjunction,
     Interval,
     KFunction,
     PartialKFunction,
     Point,
+    _Budget,
     _Record,
     check_shape,
     decode_point,
@@ -121,10 +121,8 @@ def _interval_bits(k: int, masks: tuple[int, ...]) -> int:
     return bits
 
 
-def _charge(budget: list[int], units: int) -> None:
-    budget[0] -= units
-    if budget[0] < 0:
-        raise CapacityError(f"reduce stage: maximal-interval work passed the cap {REDUCE_CAP}")
+def _budget() -> _Budget:
+    return _Budget(REDUCE_CAP, f"reduce stage: maximal-interval work passed the cap {REDUCE_CAP}")
 
 
 def _repeat(pattern: int, period: int, count: int) -> int:
@@ -167,13 +165,13 @@ def _layout(k: int, m: int) -> tuple[list, list, list, int, list, list]:
     return embed, grow, widen, base ** (m - m // 2), high, rows
 
 
-def _sieve(k: int, bits: int, m: int, budget: list[int]) -> list[tuple[int, tuple]]:
+def _sieve(k: int, bits: int, m: int, budget: _Budget) -> list[tuple[int, tuple]]:
     """Maximal intervals of carrier bits over m variables, found together by
     growing and sieving the implicant bitset over all (2**k - 1)**m cubes.
     It costs one unit per big-int step plus one per 1024 cubes, then one per
     interval it emits plus one per 1024 points."""
     embed, grow, widen, split, high, low = _layout(k, m)
-    _charge(budget, m + len(grow) + len(widen) + (((1 << k) - 1) ** m >> 10))
+    budget.spend(m + len(grow) + len(widen) + (((1 << k) - 1) ** m >> 10))
     imp = bits
     for axis in embed:  # each point to its singleton cube
         imp = sum([(imp & mask) << shift for mask, shift in axis])
@@ -183,7 +181,7 @@ def _sieve(k: int, bits: int, m: int, budget: list[int]) -> list[tuple[int, tupl
     for shift, lacks in widen:
         wider |= (imp >> shift) & lacks
     cubes = _set_bits(imp ^ wider)
-    _charge(budget, len(cubes) + (k**m >> 10))
+    budget.spend(len(cubes) + (k**m >> 10))
     found = []
     for c in cubes:
         h, l = divmod(c, split)
@@ -192,7 +190,7 @@ def _sieve(k: int, bits: int, m: int, budget: list[int]) -> list[tuple[int, tupl
     return found
 
 
-def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[tuple[int, tuple]]:
+def _maximal(k: int, bits: int, m: int, memo: dict, budget: _Budget) -> list[tuple[int, tuple]]:
     """Maximal intervals of carrier bits over m variables, as unordered
     (point bitset, factor masks) pairs."""
     key = (bits, m)
@@ -205,7 +203,7 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
     # a subproblem, an intersection or a candidate costs one unit plus one
     # per 1024 points of its bitsets, so the cap bounds memory too
     unit = 1 + (block * k >> 10)
-    _charge(budget, unit)
+    budget.spend(unit)
     if m == 1:
         found = [(bits, (bits,))] if bits else []
     else:
@@ -214,7 +212,7 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
         base = {c for c in cofactors if c}
         seen, frontier = set(), base
         while frontier:  # closure of the cofactors under intersection
-            _charge(budget, len(frontier) * len(base) * unit)
+            budget.spend(len(frontier) * len(base) * unit)
             seen |= frontier
             frontier = {x & c for x in frontier for c in base} - seen - {0}
         found = []
@@ -229,7 +227,7 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
                     own |= 1 << v
                     shifts.append(v * block)
             subs = _maximal(k, x, m - 1, memo, budget)
-            _charge(budget, len(subs) * unit)
+            budget.spend(len(subs) * unit)
             if outside:  # an I' that fits a further cofactor is emitted from a smaller X
                 subs = [(sub, masks) for sub, masks in subs if all(map(sub.__and__, outside))]
             if len(shifts) == 1:
@@ -242,7 +240,7 @@ def _maximal(k: int, bits: int, m: int, memo: dict, budget: list[int]) -> list[t
 
 def maximal_intervals(carrier: CarrierSet) -> list[Interval]:
     """All maximal intervals inside the carrier, canonically ordered."""
-    found = _maximal(carrier.k, carrier.bits, carrier.n, {}, [REDUCE_CAP])
+    found = _maximal(carrier.k, carrier.bits, carrier.n, {}, _budget())
     return [Interval(carrier.k, ms) for ms in sorted(ms for _, ms in found)]
 
 
@@ -287,7 +285,7 @@ def _points_of(bits: int, k: int, n: int) -> frozenset[Point]:
 
 def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
     """Reduced DNF of a table in point-index order, UNDEFINED where undefined."""
-    memo, budget, levels = {}, [REDUCE_CAP], []
+    memo, budget, levels = {}, _budget(), []
     for gamma in sorted(set(table) - {0, UNDEFINED}):
         carrier = _bits_where(table, gamma, 256)
         level = _bits_where(table, gamma, gamma + 1)

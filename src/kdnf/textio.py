@@ -242,6 +242,7 @@ def parse_dnf(text: str) -> Dnf:
         raise ParseError(line_no, f"k={k} outside [2, 16]")
     if n < 1:
         raise ParseError(line_no, f"n={n} must be >= 1")
+    check_shape(k, n)  # the table cap, before any body line is read
     terms = []
     for line_no, line in lines[1:]:
         if line == "0":

@@ -9,6 +9,7 @@ from collections.abc import Sequence
 import pytest
 
 import kdnf.minimize
+import kdnf.reduce
 from kdnf import (
     METRIC_RANK,
     METRIC_TERMS,
@@ -30,7 +31,7 @@ from kdnf import (
     star_order,
     total_order,
 )
-from kdnf.core import UNDEFINED, decode_point, encode_point, mask_values
+from kdnf.core import UNDEFINED, _Budget, decode_point, encode_point, mask_values
 from kdnf.minimize import SUBSET_CAP, LevelCover, _best_cover, _term_cost
 from kdnf.monotone import iter_monotone_functions
 from kdnf.oracle import oracle_absorbs, oracle_minimize
@@ -372,6 +373,51 @@ class TestDeadEnds:
         with pytest.raises(CapacityError, match="10 dead-end DNFs of 46 terms in all exceed the cap 100"):
             dead_end_dnfs(f, pool)
 
+    def test_canonical_order_whatever_the_pool_order(self):
+        # each DNF's terms and the list come out in canonical order, also
+        # from a pool whose terms are listed in reverse
+        compared = 0
+        for i in range(30):
+            k, n = [(2, 4), (3, 2), (3, 3)][i % 3]
+            rng = random.Random(f"order:{i}")
+            f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
+            pool = reduced_dnf(f)
+            ends = dead_end_dnfs(f, pool)
+            assert all(d == d.canonical() for d in ends)
+            assert ends == sorted(ends, key=lambda d: [t.sort_key() for t in d.terms])
+            assert dead_end_dnfs(f, ReducedDnf(Dnf(k, n, pool.dnf.terms[::-1]), pool.levels)) == ends
+            compared += len(ends) > 1
+        assert compared >= 10
+
+    def test_every_refusal_text_is_pinned(self, monkeypatch):
+        # each stage's text byte for byte, one unit below its answer: on the
+        # table of test_enumeration_cap reduce answers from 40 units and the
+        # search from 72; dead_end_dnfs gets past level 1 from 11 units, past
+        # level 2 from 88 and past the product's terms from 114
+        rng = random.Random(5)
+        f = KFunction(3, 2, [rng.randrange(3) for _ in range(9)])
+        pool = reduced_dnf(f)
+        refusals = [
+            (kdnf.reduce, "REDUCE_CAP", 39, lambda: reduced_dnf(f),
+             "reduce stage: maximal-interval work passed the cap 39"),
+            (kdnf.minimize, "SUBSET_CAP", 71, lambda: minimize_dnf(f),
+             "minimization search exceeded the node cap"),
+            (kdnf.minimize, "SUBSET_CAP", 10, lambda: dead_end_dnfs(f, pool),
+             "level 1: dead-end enumeration exceeded the work cap 10"),
+            # level 1 is paid for, so the message names the level that ran out
+            (kdnf.minimize, "SUBSET_CAP", 11, lambda: dead_end_dnfs(f, pool),
+             "level 2: dead-end enumeration exceeded the work cap 11"),
+            (kdnf.minimize, "SUBSET_CAP", 87, lambda: dead_end_dnfs(f, pool),
+             "level 2: dead-end enumeration exceeded the work cap 87"),
+            (kdnf.minimize, "SUBSET_CAP", 113, lambda: dead_end_dnfs(f, pool),
+             "10 dead-end DNFs of 46 terms in all exceed the cap 113"),
+        ]
+        for module, name, cap, call, text in refusals:
+            with monkeypatch.context() as patch, pytest.raises(CapacityError) as info:
+                patch.setattr(module, name, cap)
+                call()
+            assert str(info.value) == text
+
     def test_matches_the_reference_scan(self):
         # every k=3 n=2 chain- and star-monotone function and 216 seeded
         # random tables; where the scan refuses up front, each answer is
@@ -427,9 +473,9 @@ class TestMinimize:
             assert minimize_dnf(f, METRIC_RANK).dnf == pool.dnf
             for metric in (METRIC_TERMS, METRIC_RANK):
                 for level in cover_instance(f, pool).levels:
-                    budget = [SUBSET_CAP]
+                    budget = _Budget(SUBSET_CAP, "")
                     assert _best_cover(level, metric, budget) == tuple(range(len(level.candidates)))
-                    assert budget == [SUBSET_CAP - 1]
+                    assert budget.left == SUBSET_CAP - 1
 
     def test_matches_oracle_exhaustively_k2(self):
         for n in (1, 2, 3):
@@ -599,14 +645,14 @@ class TestBestCover:
                         expected = [reference_best_cover(level, metric, budget) for level in levels]
                     except CapacityError:
                         continue
-                    budget = [SUBSET_CAP]
+                    budget = _Budget(SUBSET_CAP, "")
                     assert [_best_cover(level, metric, budget) for level in levels] == expected, (k, n, seed)
                     compared += 1
         assert compared >= 100
 
     def test_answers_the_input_the_reference_could_not(self):
         f, levels = random_levels("random-k2n7:3", 2, 7)
-        budget = [SUBSET_CAP]
+        budget = _Budget(SUBSET_CAP, "")
         terms = [level.candidates[i] for level in levels for i in _best_cover(level, METRIC_TERMS, budget)]
         assert print_dnf(Dnf(2, 7, tuple(terms))) == CAPPED_K2N7
         assert minimize_dnf(f, METRIC_TERMS).objective_value == 26
@@ -620,7 +666,7 @@ class TestBestCover:
         candidates = tuple(ElementaryConjunction(Interval(5, (m,)), 1) for m in masks)
         level = LevelCover(5, 1, 1, 9, candidates, tuple(_interval_bits(5, (m,)) & 9 for m in masks))
         for metric, expected in ((METRIC_TERMS, (1,)), (METRIC_RANK, (3, 5))):
-            assert _best_cover(level, metric, [SUBSET_CAP]) == expected
+            assert _best_cover(level, metric, _Budget(SUBSET_CAP, "")) == expected
             assert reference_best_cover(level, metric, [SUBSET_CAP]) == expected
 
 
@@ -677,11 +723,11 @@ class TestSearchOrder:
         for (k, n, seed, metric), expected in SEARCH_PIN.items():
             rng = random.Random(f"{k}:{n}:{seed}")
             f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
-            budget, got = [SUBSET_CAP], []
+            budget, got = _Budget(SUBSET_CAP, ""), []
             for level in cover_instance(f, reduced_dnf(f)).levels:
-                before = budget[0]
+                before = budget.left
                 chosen = _best_cover(level, metric, budget)
-                got.append((before - budget[0], chosen))
+                got.append((before - budget.left, chosen))
             assert tuple(got) == expected, (k, n, seed, metric)
 
 class TestRemoveStep:

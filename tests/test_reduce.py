@@ -14,7 +14,7 @@ from kdnf import (
     reduced_dnf,
     reduced_dnf_partial,
 )
-from kdnf.core import UNDEFINED
+from kdnf.core import UNDEFINED, _Budget
 from kdnf.oracle import oracle_maximal_intervals
 
 from .conftest import STAR_EXAMPLE_POINTS, kfunctions
@@ -391,7 +391,7 @@ def test_maximal_matches_the_splitting_recursion(kind, k, n):
         memo, reference = {}, {}
         for gamma in sorted(set(table) - {0, UNDEFINED}):
             carrier = _bits_where(table, gamma, 256)
-            got = _maximal(k, carrier, n, memo, [kdnf.reduce.REDUCE_CAP])
+            got = _maximal(k, carrier, n, memo, _Budget(kdnf.reduce.REDUCE_CAP, ""))
             want = _splitting_maximal(k, carrier, n, reference)
             assert len(got) == len(set(got))
             assert set(got) == set(want), (kind, seed, gamma)

@@ -21,6 +21,7 @@ from kdnf import (
     reduced_dnf,
 )
 import kdnf.textio
+from kdnf.cli import main
 from kdnf.core import all_points, check_shape, mask_values
 from kdnf.textio import _parse_canonical
 
@@ -346,6 +347,18 @@ class TestParseDnf:
     def test_empty(self):
         assert parse_dnf("k=3 n=2\n0\n") == Dnf(3, 2)
         assert parse_dnf("k=3 n=2\n") == Dnf(3, 2)
+
+    def test_table_cap_is_checked_before_the_body(self, tmp_path, capsys):
+        # the header's own faults come first, then the cap, then the body's
+        text = "k=2 n=1000000\nTRUE->1\nTRUE->\n"  # line 3 is malformed
+        with pytest.raises(CapacityError, match=r"^k\*\*n = 2\*\*1000000 exceeds the dense-table cap 1048576$"):
+            parse_dnf(text)
+        with pytest.raises(ParseError, match=r"^line 1: k=17 outside \[2, 16\]$"):
+            parse_dnf("k=17 n=1000000\nTRUE->\n")
+        path = tmp_path / "overcap.dnf"
+        path.write_text(text)
+        assert main(["absorb", str(path), "TRUE->1"]) == 3
+        assert capsys.readouterr().err == "kdnf: capacity error: k**n = 2**1000000 exceeds the dense-table cap 1048576\n"
 
     def test_term_round_trip(self):
         term = ec(4, 3, [1, 3], None, [0, 2])
