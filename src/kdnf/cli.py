@@ -15,8 +15,8 @@ from pathlib import Path
 from .core import CapacityError, KFunction
 from .minimize import METRIC_RANK, METRIC_TERMS, absorption_witness, dead_end_dnfs, minimize_dnf
 from .monotone import count_monotone_exact, monotone_witness, psi_estimate, star_order, total_order
-from .reduce import reduced_dnf
-from .textio import ParseError, parse_dnf, parse_function, parse_term, print_dnf
+from .reduce import _levels, reduced_dnf
+from .textio import ParseError, _term_printer, parse_dnf, parse_function, parse_term, print_dnf
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,7 +56,9 @@ def _order(name: str, k: int):
 
 
 def _cmd_reduce(args) -> int:
-    sys.stdout.write(print_dnf(reduced_dnf(parse_function(_read(args.file))).dnf))
+    f = parse_function(_read(args.file))
+    levels = _levels(f.k, f.n, f.table)  # the reduce stage's masks, printed with no record built
+    sys.stdout.write(_term_printer(f.k, f.n)((gamma, masks) for gamma, _, _, found in levels for _, masks in found))
     return EXIT_OK
 
 
@@ -74,10 +76,9 @@ def _cmd_deadend(args) -> int:
     func = _total_function(args.file, "deadend")
     ends = dead_end_dnfs(func, reduced_dnf(func))
     sys.stdout.write(f"# dead-end dnfs: {len(ends)}\n")
-    shown = ends if args.limit is None else ends[: args.limit]
-    for i, dnf in enumerate(shown, start=1):
-        sys.stdout.write(f"# {i}\n")
-        sys.stdout.write(print_dnf(dnf))
+    print_terms = _term_printer(func.k, func.n)
+    for i, dnf in enumerate(ends[: args.limit], start=1):  # each already in canonical order
+        sys.stdout.write(f"# {i}\n" + print_terms((t.gamma, t.interval.factors) for t in dnf.terms))
     return EXIT_OK
 
 

@@ -40,6 +40,10 @@ whole and larger n below their top splits.  On random tables (Python 3.11,
 n=5 and k=4 n=4.  But the m*(2**k - k) growth steps over B**m cubes swamp
 the few points of a large-k carrier: sieving at every k took k=7 n=3 from
 0.021 s to 0.14 s and k=8 n=3 from 0.085 s to 1.9 s.
+
+The CLI's reduce prints the factor masks that _levels yields and builds no
+record; reduced_dnf wraps eager records around them, whose terms
+cover_instance looks up by identity.
 """
 
 from __future__ import annotations
@@ -283,24 +287,26 @@ def _points_of(bits: int, k: int, n: int) -> frozenset[Point]:
     return frozenset(decode_point(i, k, n) for i in _set_bits(bits))
 
 
-def _reduce(k: int, n: int, table: bytes) -> ReducedDnf:
-    """Reduced DNF of a table in point-index order, UNDEFINED where undefined."""
-    memo, budget, levels = {}, _budget(), []
+def _levels(k: int, n: int, table: bytes):
+    """(gamma, level_bits, carrier_bits, found) per attained level, found the
+    carrier's maximal (point bitset, masks) pairs meeting the level, sorted."""
+    memo, budget = {}, _budget()
     for gamma in sorted(set(table) - {0, UNDEFINED}):
         carrier = _bits_where(table, gamma, 256)
         level = _bits_where(table, gamma, gamma + 1)
-        found = sorted(_maximal(k, carrier, n, memo, budget), key=lambda f: f[1])
-        found = [(bits, masks) for bits, masks in found if bits & level]
-        terms = tuple(ElementaryConjunction(Interval(k, masks), gamma) for _, masks in found)
-        levels.append(LevelTerms(k, n, gamma, level, carrier, terms, tuple(bits for bits, _ in found)))
-    return ReducedDnf(Dnf(k, n, (t for lt in levels for t in lt.terms)), tuple(levels))
+        found = [(bits, masks) for bits, masks in _maximal(k, carrier, n, memo, budget) if bits & level]
+        yield gamma, level, carrier, sorted(found, key=lambda f: f[1])
 
 
 def reduced_dnf(func: KFunction | PartialKFunction) -> ReducedDnf:
     """Reduced DNF of a total or partially defined function; empty for the
     constant-0 function.  It takes each defined value on its set; undefined
     points are unconstrained."""
-    return _reduce(func.k, func.n, func.table)
+    k, n, levels = func.k, func.n, []
+    for gamma, level, carrier, found in _levels(k, n, func.table):
+        terms = tuple(ElementaryConjunction(Interval(k, masks), gamma) for _, masks in found)
+        levels.append(LevelTerms(k, n, gamma, level, carrier, terms, tuple(bits for bits, _ in found)))
+    return ReducedDnf(Dnf(k, n, (t for lt in levels for t in lt.terms)), tuple(levels))
 
 
 reduced_dnf_partial = reduced_dnf  # alias kept for callers from before reduced_dnf took partial functions

@@ -18,8 +18,8 @@ DNF file:
 Variables are 1-indexed; full factors are omitted when printing and a term
 with no factors prints as "TRUE".  The empty DNF prints as the single line
 "0".  Printing is canonical (sorted terms, sorted body lines) so equal
-objects render byte-identically.  Terms print from their factor masks through
-a text cache of (variable, mask) factors that lives for one printing call.
+objects render byte-identically.  print_dnf prints a Dnf's records; the CLI's
+reduce prints the reduce stage's factor masks and builds no record.
 """
 
 from __future__ import annotations
@@ -169,30 +169,29 @@ def print_function(func: KFunction | PartialKFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _FactorTexts(dict):
-    """Text of each (variable index, mask) factor, empty when full."""
+class _AxisTexts(dict):
+    """Text of each factor mask of one variable: "*J{...}(xj)", empty when full."""
 
-    def __init__(self, k: int):
-        self.full = (1 << k) - 1
+    def __init__(self, j: int, k: int):
+        self.variable, self.full = f"(x{j + 1})", (1 << k) - 1
 
-    def __missing__(self, key: tuple[int, int]) -> str:
-        j, f = key
-        text = self[key] = "" if f == self.full else f"J{{{','.join(map(str, mask_values(f)))}}}(x{j + 1})"
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = "" if mask == self.full else f"*J{{{','.join(map(str, mask_values(mask)))}}}{self.variable}"
         return text
 
-    def term(self, ec: ElementaryConjunction) -> str:
-        head = "*".join(filter(None, map(self.__getitem__, enumerate(ec.interval.factors))))
-        return f"{head or 'TRUE'}->{ec.gamma}"
 
-
-def format_term(ec: ElementaryConjunction) -> str:
-    return _FactorTexts(ec.k).term(ec)
+def _term_printer(k: int, n: int):
+    """print_dnf's text of (gamma, factor masks) pairs in canonical order, from
+    one factor-text cache per variable that lives as long as the printer."""
+    axes = [_AxisTexts(j, k) for j in range(n)]
+    return lambda terms: "".join(
+        [f"{''.join(map(dict.__getitem__, axes, masks))[1:] or 'TRUE'}->{gamma}\n" for gamma, masks in terms]
+    ) or "0\n"
 
 
 def print_dnf(d: Dnf) -> str:
     """One canonical-order term per line; the empty DNF prints as '0'."""
-    texts = _FactorTexts(d.k)
-    return "".join([texts.term(t) + "\n" for t in sorted(d.terms, key=ElementaryConjunction.sort_key)]) or "0\n"
+    return _term_printer(d.k, d.n)(sorted((t.gamma, t.interval.factors) for t in d.terms))
 
 
 def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunction:

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from kdnf import KFunction
+import kdnf.reduce
+from kdnf import KFunction, PartialKFunction, dead_end_dnfs, reduced_dnf
 from kdnf.cli import main
+from kdnf.core import UNDEFINED
 from kdnf.monotone import star_order, total_order
 from kdnf.oracle import oracle_is_monotone
-from kdnf.textio import parse_dnf, print_function
+from kdnf.textio import parse_dnf, parse_function, print_dnf, print_function
 
 from .instances import dnf_function
 
@@ -56,6 +58,70 @@ class TestReduce:
         out, seconds = run_on_constant_one(capsys, tmp_path, "reduce")
         assert out == "TRUE->1\n"
         assert seconds < 2.0
+
+
+def seeded_file(tmp_path, k, n, defined, label):
+    """A random table written as a file: total when defined is None, else
+    partial with that share of its points defined."""
+    rng = random.Random(label)
+    table = [rng.randrange(k) for _ in range(k**n)]
+    if defined is None:
+        f = KFunction(k, n, table)
+    else:
+        keep = set(rng.sample(range(k**n), round(defined * k**n)))
+        f = PartialKFunction(k, n, [v if i in keep else UNDEFINED for i, v in enumerate(table)])
+    path = tmp_path / "f.kfn"
+    path.write_text(print_function(f))
+    return path
+
+
+class TestReducePrintsTheLibraryAnswer:
+    """kdnf reduce prints from the reduce stage's masks and builds no record;
+    its bytes must be print_dnf's on the records reduced_dnf builds."""
+
+    # k=16 has two-digit values; k=5 and k=8 are split and never sieved
+    @pytest.mark.parametrize("k, n", [(2, 7), (3, 4), (4, 3), (5, 3), (16, 2), (8, 3), (2, 1), (16, 1)])
+    @pytest.mark.parametrize("defined", [None, 0.3, 0.7])
+    def test_seeded_tables(self, capsys, tmp_path, k, n, defined):
+        path = seeded_file(tmp_path, k, n, defined, f"cli-reduce:{k}:{n}:{defined}")
+        f = parse_function(path.read_text())
+        assert run(capsys, "reduce", str(path)) == (0, print_dnf(reduced_dnf(f).dnf), "")
+
+    @pytest.mark.parametrize(
+        "text, out",
+        [
+            ("k=3 n=2 mode=total\n", "0\n"),
+            ("k=5 n=3 mode=total default=1\n", "TRUE->1\n"),
+            ("k=4 n=2 mode=partial\n", "0\n"),
+            ("k=2 n=1 mode=partial\n1 -> 1\n", "TRUE->1\n"),
+        ],
+    )
+    def test_constants(self, capsys, tmp_path, text, out):
+        path = tmp_path / "c.kfn"
+        path.write_text(text)
+        assert run(capsys, "reduce", str(path)) == (0, out, "")
+        assert print_dnf(reduced_dnf(parse_function(text)).dnf) == out
+
+    def test_cap_is_charged_as_in_the_library(self, capsys, tmp_path, monkeypatch):
+        # random k=5 n=3 (s4 seed 1) takes exactly 2635 units and has 193 terms
+        # (tests/test_reduce.py pins both)
+        rng = random.Random("s4:5:3:1")
+        path = tmp_path / "f.kfn"
+        path.write_text(print_function(KFunction(5, 3, [rng.randrange(5) for _ in range(125)])))
+        monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", 2635)
+        code, out, _ = run(capsys, "reduce", str(path))
+        assert code == 0 and out.count("\n") == 193
+        monkeypatch.setattr(kdnf.reduce, "REDUCE_CAP", 2634)
+        assert run(capsys, "reduce", str(path)) == (
+            3, "", "kdnf: capacity error: reduce stage: maximal-interval work passed the cap 2634\n")
+
+    def test_table_past_the_cap_exits_3(self, capsys, tmp_path):
+        # k=16 n=3, 1 on a random 90% of the lattice: the cofactor closure passes the cap
+        rng = random.Random("cli-reduce-cap")
+        path = tmp_path / "f.kfn"
+        path.write_text(print_function(KFunction(16, 3, [int(rng.random() < 0.9) for _ in range(16**3)])))
+        assert run(capsys, "reduce", str(path)) == (
+            3, "", "kdnf: capacity error: reduce stage: maximal-interval work passed the cap 1000000\n")
 
 
 class TestMinimize:
@@ -157,6 +223,23 @@ class TestDeadend:
         else:
             assert code == 3
             assert "dead-end" in err and "cap 1000000" in err
+
+
+class TestDeadendPrintsTheLibraryAnswer:
+    @staticmethod
+    def reference(f, limit):
+        ends = dead_end_dnfs(f, reduced_dnf(f))
+        shown = "".join(f"# {i}\n" + print_dnf(d) for i, d in enumerate(ends[:limit], 1))
+        return f"# dead-end dnfs: {len(ends)}\n" + shown
+
+    # 40, 56 and 20 dead ends
+    @pytest.mark.parametrize("k, n, label", [(2, 6, "deadend:2:6:0"), (3, 3, "deadend:3:3:0"), (4, 2, "deadend:4:2:3")])
+    @pytest.mark.parametrize("limit", [None, 0, 1, 7, 100])
+    def test_seeded_tables(self, capsys, tmp_path, k, n, label, limit):
+        path = seeded_file(tmp_path, k, n, None, label)
+        f = parse_function(path.read_text())
+        argv = ["deadend", str(path)] + ([] if limit is None else ["--limit", str(limit)])
+        assert run(capsys, *argv) == (0, self.reference(f, limit), "")
 
 
 class TestAbsorb:

@@ -12,7 +12,6 @@ from kdnf import (
     KFunction,
     PartialKFunction,
     ParseError,
-    format_term,
     parse_dnf,
     parse_function,
     parse_term,
@@ -320,7 +319,7 @@ class TestPrintMatchesReference:
         d = seeded_dnf(k, n, seed, 60)
         assert print_dnf(d) == reference_print_dnf(d)
         for t in d.terms:
-            assert format_term(t) == reference_format_term(t)
+            assert print_dnf(Dnf(k, n, (t,))) == reference_format_term(t) + "\n"
 
     def test_text_covers_two_digit_values_and_variables(self):
         values, variables = print_dnf(seeded_dnf(16, 5, 0, 60)), print_dnf(seeded_dnf(2, 20, 0, 60))
@@ -334,8 +333,8 @@ class TestPrintMatchesReference:
         assert print_dnf(d).splitlines() != [reference_format_term(t) for t in backwards.terms]
 
     def test_format_term_text(self):
-        assert format_term(ec(16, 15, [10, 15], None, [0, 9, 12])) == "J{10,15}(x1)*J{0,9,12}(x3)->15"
-        assert format_term(ec(3, 2, None, None)) == "TRUE->2"
+        assert print_dnf(Dnf(16, 3, (ec(16, 15, [10, 15], None, [0, 9, 12]),))) == "J{10,15}(x1)*J{0,9,12}(x3)->15\n"
+        assert print_dnf(Dnf(3, 2, (ec(3, 2, None, None),))) == "TRUE->2\n"
 
 
 class TestParseDnf:
@@ -362,7 +361,7 @@ class TestParseDnf:
 
     def test_term_round_trip(self):
         term = ec(4, 3, [1, 3], None, [0, 2])
-        assert parse_term(format_term(term), 4, 3) == term
+        assert parse_term(print_dnf(Dnf(4, 3, (term,))), 4, 3) == term
 
     @pytest.mark.parametrize(
         "text",
