@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
-from pathlib import Path
 
 from .core import CapacityError, KFunction
-from .minimize import METRIC_RANK, METRIC_TERMS, absorption_witness, dead_end_dnfs, minimize_dnf
+from .minimize import METRIC_RANK, METRIC_TERMS, _dead_end_covers, absorption_witness, minimize_dnf
 from .monotone import count_monotone_exact, monotone_witness, psi_estimate, star_order, total_order
 from .reduce import _levels, reduced_dnf
 from .textio import ParseError, _term_printer, parse_dnf, parse_function, parse_term, print_dnf
@@ -39,7 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
@@ -74,11 +75,12 @@ def _cmd_deadend(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise UsageError("--limit must be >= 0")
     func = _total_function(args.file, "deadend")
-    ends = dead_end_dnfs(func, reduced_dnf(func))
-    sys.stdout.write(f"# dead-end dnfs: {len(ends)}\n")
+    per_level, count = _dead_end_covers(func, reduced_dnf(func), args.limit)
     print_terms = _term_printer(func.k, func.n)
-    for i, dnf in enumerate(ends[: args.limit], start=1):  # each already in canonical order
-        sys.stdout.write(f"# {i}\n" + print_terms((t.gamma, t.interval.factors) for t in dnf.terms))
+    blocks = [[print_terms((t.gamma, t.interval.factors) for t in cover) for cover in covers] for covers in per_level]
+    sys.stdout.write(f"# dead-end dnfs: {count}\n")
+    for i, choice in enumerate(itertools.islice(itertools.product(*blocks), args.limit), start=1):
+        sys.stdout.write(f"# {i}\n" + ("".join(choice) or "0\n"))  # no level: one empty dead end
     return EXIT_OK
 
 

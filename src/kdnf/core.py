@@ -294,10 +294,6 @@ class Dnf(_Record):
     def total_rank(self) -> int:
         return sum(t.rank for t in self.terms)
 
-    def canonical(self) -> "Dnf":
-        """Terms sorted by (gamma, factor bitmask tuple)."""
-        return Dnf(self.k, self.n, sorted(self.terms, key=ElementaryConjunction.sort_key))
-
 
 def _set_table(func: _Record, k: int, n: int, table: bytes, partial: bool) -> None:
     """Set a function's k, n and table, the table as bytes (the very object

@@ -16,9 +16,9 @@ points come from its factor masks, and its cover set is that bitset ANDed
 with the level set's.  Realization is one comparison per threshold: a DNF is
 >= gamma exactly on the union of its terms of level >= gamma, so it equals f
 when that union is {p : f(p) >= gamma} for every gamma in 1..k-1.
-dead_end_dnfs lists every irredundant cover and minimize_dnf finds the exact
-optimum; both start at _root, search on an explicit stack and refuse with
-CapacityError instead of approximating.
+_dead_end_covers finds each level's irredundant covers, whose product is the
+dead ends, and minimize_dnf the exact optimum; both start at _root, search
+on an explicit stack and refuse with CapacityError instead of approximating.
 
 The search follows Coudert: essential terms, row and column dominance down
 to the cyclic core, and a lower bound from rows with disjoint holder sets.
@@ -223,24 +223,25 @@ def _root(level: LevelCover, terms: Sequence, covers: Sequence, spend: Callable[
     return taken, list({functools.reduce(operator.and_, h) for h in held})
 
 
-def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
-    """Every subset of the pool that realizes f and loses realization when any
-    single term is removed; exhaustive, canonically ordered.
+def _dead_end_covers(f: KFunction, pool: ReducedDnf, limit: int | None) -> tuple[list, int]:
+    """Each level's irredundant covers, sorted, and the size of their product,
+    whose tuples are the dead ends' terms in canonical order (dead_end_dnfs).
 
-    Such a subset takes one irredundant cover per level: the essential
-    columns (see _root) and a minimal transversal of the rows they leave.  An
-    essential column holds a point alone, so it is in every cover and keeps
-    that point.  Any other chosen column needs a point that no other chosen
-    column covers, and no essential: a row with it as its only chosen column.
-    A column in no row is in no dead end.  The transversals come from MMCS
-    (Murakami and Uno, "Efficient algorithms for dualizing large-scale
-    hypergraphs", Discrete Appl. Math. 2014): a node branches on its uncovered
-    row with the fewest candidates, each later sibling takes the earlier ones'
-    columns back, and a child lives only if each earlier choice keeps a private
-    row.  SUBSET_CAP bounds the call in work units: _root's, one per node, per
-    row a node scans and per column it branches on, and one per term of each
-    DNF of the product over levels, before any is built (a level's own share
-    as its covers are found, so refusals come early).
+    A level's irredundant cover is its essential columns (see _root) and a
+    minimal transversal of the rows they leave.  An essential column holds a
+    point alone, so it is in every cover and keeps that point.  Any other
+    chosen column needs a point that no other chosen column covers, and no
+    essential: a row with it as its only chosen column.  A column in no row
+    is in no dead end.  The transversals come from MMCS (Murakami and Uno,
+    "Efficient algorithms for dualizing large-scale hypergraphs", Discrete
+    Appl. Math. 2014): a node branches on its uncovered row with the fewest
+    candidates, each later sibling takes the earlier ones' columns back, and
+    a child lives only if each earlier choice keeps a private row.
+    SUBSET_CAP bounds the call in work units: _root's, one per node, per row
+    a node scans and per column it branches on, and one per term of each DNF
+    of the product, before any is built (a level's own share as its covers
+    are found, so refusals come early); under a limit below its size, the
+    rest only up to the terms of its first limit DNFs, never more than without.
     """
     inst = cover_instance(f, pool)
     budget = _Budget(SUBSET_CAP, "")
@@ -279,7 +280,16 @@ def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
     # each of a level's covers is in combos // len(covers) DNFs, one of them paid for
     terms = sum(combos // len(covers) * sum(map(len, covers)) for covers in per_level)
     budget.message = f"{combos} dead-end DNFs of {terms} terms in all exceed the cap {SUBSET_CAP}"
-    budget.spend(terms - sum(len(cover) for covers in per_level for cover in covers))
+    if limit is not None and limit < combos:
+        terms = sum(len(cover) for choice in itertools.islice(itertools.product(*per_level), limit) for cover in choice)
+    budget.spend(max(terms - sum(len(cover) for covers in per_level for cover in covers), 0))
+    return per_level, combos
+
+
+def dead_end_dnfs(f: KFunction, pool: ReducedDnf) -> list[Dnf]:
+    """Every subset of the pool that realizes f and loses realization when any
+    single term is removed, canonically ordered; see _dead_end_covers."""
+    per_level, _ = _dead_end_covers(f, pool, None)
     return [Dnf(f.k, f.n, itertools.chain(*choice)) for choice in itertools.product(*per_level)]
 
 

@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from .core import CapacityError, KFunction, Point, _Record, check_alphabet, check_shape, decode_point, encode_point
-from .minimize import dead_end_dnfs
+from .minimize import _dead_end_covers
 from .reduce import _bits_where, _repeat, reduced_dnf
 
 COUNT_CAP = 10**8  # cap on k**(k**n), the candidate-table space of the counter
@@ -229,7 +229,7 @@ def chain_shape_report(f: KFunction) -> ChainShapeReport:
         for t in pool.dnf.terms
         for fac in t.interval.factors
     )
-    ends = dead_end_dnfs(f, pool)
+    per_level, count = _dead_end_covers(f, pool, None)
     # a core is the lowest value of each factor; it is exclusive when it lies
     # in one term bitset of its level, the term's own
     cores, exclusive = [], True
@@ -242,8 +242,9 @@ def chain_shape_report(f: KFunction) -> ChainShapeReport:
     return ChainShapeReport(
         reduced=pool,
         factors_upper=factors_upper,
-        dead_end_count=len(ends),
-        dead_end_equals_reduced=len(ends) == 1 and ends[0] == pool.dnf.canonical(),
+        dead_end_count=count,
+        # a dead end takes distinct terms of the pool, so it is the pool when it is as long
+        dead_end_equals_reduced=count == 1 and sum(len(covers[0]) for covers in per_level) == len(pool.dnf.terms),
         core_points=tuple(cores),
         cores_exclusive=exclusive,
     )

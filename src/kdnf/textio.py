@@ -56,13 +56,25 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _content_lines(text: str) -> list[tuple[int, str]]:
-    out = []
+def _header(text: str, pattern: re.Pattern, expected: str) -> tuple[list[tuple[int, str]], re.Match, int, int]:
+    """A file's numbered content lines, its header's match, and the k and n it names, checked."""
+    lines = []
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((i, line))
-    return out
+            lines.append((i, line))
+    if not lines:
+        raise ParseError(1, "missing header")
+    line_no, header = lines[0]
+    m = pattern.match(header)
+    if not m:
+        raise ParseError(line_no, f"malformed header, expected '{expected}'")
+    k, n = int(m.group(1)), int(m.group(2))
+    if not 2 <= k <= 16:
+        raise ParseError(line_no, f"k={k} outside [2, 16]")
+    if n < 1:
+        raise ParseError(line_no, f"n={n} must be >= 1")
+    return lines, m, k, n
 
 
 def parse_function(text: str) -> KFunction | PartialKFunction:
@@ -108,18 +120,8 @@ def _parse_canonical(text: str) -> KFunction | PartialKFunction | None:
 
 def _parse_validating(text: str) -> KFunction | PartialKFunction:
     """Parse any function file line by line, naming the first fault found."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "missing header")
-    line_no, header = lines[0]
-    m = _HEADER_RE.match(header)
-    if not m:
-        raise ParseError(line_no, "malformed header, expected 'k=K n=N mode=total|partial'")
-    k, n, mode, default = int(m.group(1)), int(m.group(2)), m.group(3), int(m.group(4) or 0)
-    if not 2 <= k <= 16:
-        raise ParseError(line_no, f"k={k} outside [2, 16]")
-    if n < 1:
-        raise ParseError(line_no, f"n={n} must be >= 1")
+    lines, m, k, n = _header(text, _HEADER_RE, "k=K n=N mode=total|partial")
+    line_no, mode, default = lines[0][0], m.group(3), int(m.group(4) or 0)
     if mode == "partial" and m.group(4) is not None:
         raise ParseError(line_no, "default= is only meaningful in total mode")
     if not 0 <= default < k:
@@ -229,18 +231,7 @@ def parse_term(text: str, k: int, n: int, line_no: int = 1) -> ElementaryConjunc
 
 def parse_dnf(text: str) -> Dnf:
     """Parse a DNF file: 'k=K n=N' header, then one term per line."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError(1, "missing header")
-    line_no, header = lines[0]
-    m = _DNF_HEADER_RE.match(header)
-    if not m:
-        raise ParseError(line_no, "malformed header, expected 'k=K n=N'")
-    k, n = int(m.group(1)), int(m.group(2))
-    if not 2 <= k <= 16:
-        raise ParseError(line_no, f"k={k} outside [2, 16]")
-    if n < 1:
-        raise ParseError(line_no, f"n={n} must be >= 1")
+    lines, _, k, n = _header(text, _DNF_HEADER_RE, "k=K n=N")
     check_shape(k, n)  # the table cap, before any body line is read
     terms = []
     for line_no, line in lines[1:]:

@@ -30,6 +30,11 @@ def dnf_function(d: Dnf) -> KFunction:
     return KFunction(d.k, d.n, [d.value_at(p) for p in all_points(d.k, d.n)])
 
 
+def canonical(d: Dnf) -> Dnf:
+    """d with its terms sorted by (gamma, factor bitmask tuple), as print_dnf lists them."""
+    return Dnf(d.k, d.n, sorted(d.terms, key=ElementaryConjunction.sort_key))
+
+
 def without(d: Dnf, index: int) -> Dnf:
     """d with its term at index dropped."""
     return Dnf(d.k, d.n, d.terms[:index] + d.terms[index + 1 :])

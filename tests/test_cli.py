@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from kdnf.monotone import star_order, total_order
 from kdnf.oracle import oracle_is_monotone
 from kdnf.textio import parse_dnf, parse_function, print_dnf, print_function
 
-from .instances import dnf_function
+from .instances import dnf_function, without
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "star_example.kfn")
@@ -225,6 +226,60 @@ class TestDeadend:
             assert "dead-end" in err and "cap 1000000" in err
 
 
+class TestDeadendLimit:
+    """--limit L prints the full answer's header and its first L dead ends,
+    and charges only their terms, so it answers past the product cap."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k=3 n=2 mode=total\n",  # constant 0: one dead end, printed as 0
+            "k=4 n=2 mode=total default=3\n",
+            (DATA / "star_example.kfn").read_text(),
+            print_function(KFunction(3, 3, [random.Random("limit:3:3").randrange(3) for _ in range(27)])),
+            print_function(KFunction(2, 5, [random.Random("limit:2:5").randrange(2) for _ in range(32)])),
+            print_function(KFunction(4, 2, [random.Random("limit:4:2").randrange(4) for _ in range(16)])),
+        ],
+    )
+    def test_first_blocks_of_the_full_answer(self, capsys, tmp_path, text):
+        path = tmp_path / "f.kfn"
+        path.write_text(text)
+        code, out, _ = run(capsys, "deadend", str(path))
+        assert code == 0
+        header, *blocks = re.split(r"(?m)^(?=# \d+$)", out)
+        assert header == f"# dead-end dnfs: {len(blocks)}\n"
+        for limit in sorted({0, 1, 2, 5, len(blocks) - 1, len(blocks), len(blocks) + 3}):
+            assert run(capsys, "deadend", str(path), "--limit", str(limit)) == (0, header + "".join(blocks[:limit]), "")
+
+    def test_answers_past_the_product_cap(self, capsys, tmp_path):
+        rng = random.Random("s4:4:3:0")
+        f = KFunction(4, 3, [rng.randrange(4) for _ in range(64)])
+        path = tmp_path / "f.kfn"
+        path.write_text(print_function(f))
+        assert run(capsys, "deadend", str(path)) == (3, "", "kdnf: capacity error: 3970512 dead-end DNFs of "
+                                                             "103049568 terms in all exceed the cap 1000000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "deadend", str(path), "--limit", "5")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        header, *blocks = re.split(r"(?m)^(?=# \d+$)", out)
+        assert header == "# dead-end dnfs: 3970512\n" and len(blocks) == 5
+        assert [block.split("\n", 1)[0] for block in blocks] == [f"# {i}" for i in range(1, 6)]
+        ends = [parse_dnf("k=4 n=3\n" + block.split("\n", 1)[1]) for block in blocks]
+        # each realizes f, loses it without any one term, and comes in canonical order
+        assert all(dnf_function(d) == f for d in ends)
+        assert all(dnf_function(without(d, i)) != f for d in ends for i in range(len(d.terms)))
+        keys = [[t.sort_key() for t in d.terms] for d in ends]
+        assert all(key == sorted(key) for key in keys) and all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_a_level_past_the_cap_still_refuses(self, capsys, tmp_path):
+        rng = random.Random("s4:3:4:0")
+        path = tmp_path / "f.kfn"
+        path.write_text(print_function(KFunction(3, 4, [rng.randrange(3) for _ in range(81)])))
+        assert run(capsys, "deadend", str(path), "--limit", "5") == (
+            3, "", "kdnf: capacity error: level 1: dead-end enumeration exceeded the work cap 1000000\n")
+
+
 class TestDeadendPrintsTheLibraryAnswer:
     @staticmethod
     def reference(f, limit):
@@ -248,6 +303,12 @@ class TestAbsorb:
         path.write_text("k=3 n=3\nJ{1}(x2)*J{1}(x3)->1\nJ{1}(x1)*J{2}(x2)*J{1,2}(x3)->1\n")
         code, out, _ = run(capsys, "absorb", str(path), "J{1}(x1)*J{1,2}(x2)*J{1}(x3)->1")
         assert code == 0 and out == "yes\n"
+
+    @pytest.mark.parametrize("term", ["J{1}(x2)->one", "TRUE->", "TRUE->1.5"])
+    def test_gamma_that_is_not_an_integer_is_a_parse_error(self, capsys, tmp_path, term):
+        path = tmp_path / "d.dnf"
+        path.write_text("k=3 n=3\nJ{1}(x2)*J{1}(x3)->1\n")
+        assert run(capsys, "absorb", str(path), term) == (2, "", "kdnf: parse error: line 1: gamma must be an integer\n")
 
     def test_no_with_witness(self, capsys, tmp_path):
         path = tmp_path / "d.dnf"
@@ -324,6 +385,13 @@ class TestExitCodes:
     def test_usage_missing_file(self, capsys):
         code, _, err = run(capsys, "reduce", "/nonexistent/path.kfn")
         assert code == 1 and "cannot read" in err
+
+    @pytest.mark.parametrize("name", ["missing.kfn", "."])
+    def test_unreadable_file_names_the_os_error(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(OSError) as exc:
+            path.read_text(encoding="utf-8")
+        assert run(capsys, "reduce", str(path)) == (1, "", f"kdnf: error: cannot read {path}: {exc.value}\n")
 
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.kfn"

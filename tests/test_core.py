@@ -227,6 +227,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             KFunction(2, 2, [0, 1])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Interval(3, ()), "interval needs at least one factor"),
+            (lambda: Interval(3, (1, 2)).contains(Interval(3, (1,))), "interval shape mismatch"),
+            (lambda: Interval(3, (1,)).contains(Interval(2, (1,))), "interval shape mismatch"),
+            (lambda: KFunction.from_map(3, 2, {}, default=3), "default value 3 outside the alphabet"),
+        ],
+        ids=["no factor", "contains across dimensions", "contains across alphabets", "from_map default >= k"],
+    )
+    def test_malformed_arguments_rejected(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
     def test_term_shape_must_match_dnf(self):
         with pytest.raises(ValueError):
             Dnf(3, 2, (ec(3, 1, [1]),))

@@ -39,7 +39,7 @@ from kdnf.reduce import _interval_bits
 from kdnf.textio import print_dnf
 
 from .conftest import ec
-from .instances import dnf_function, star_absorption_instances, without
+from .instances import canonical, dnf_function, star_absorption_instances, without
 
 
 class TestAbsorbs:
@@ -288,7 +288,7 @@ class TestDeadEnds:
 
     def test_star_example_has_one_dead_end(self, star_example, handwritten_pair):
         ends = dead_end_dnfs(star_example, reduced_dnf(star_example))
-        assert ends == [handwritten_pair.canonical()]
+        assert ends == [canonical(handwritten_pair)]
 
     def test_chain_monotone_functions_have_unique_dead_end(self):
         rng = random.Random(4)
@@ -383,7 +383,7 @@ class TestDeadEnds:
             f = KFunction(k, n, [rng.randrange(k) for _ in range(k**n)])
             pool = reduced_dnf(f)
             ends = dead_end_dnfs(f, pool)
-            assert all(d == d.canonical() for d in ends)
+            assert all(d == canonical(d) for d in ends)
             assert ends == sorted(ends, key=lambda d: [t.sort_key() for t in d.terms])
             assert dead_end_dnfs(f, ReducedDnf(Dnf(k, n, pool.dnf.terms[::-1]), pool.levels)) == ends
             compared += len(ends) > 1
@@ -454,12 +454,12 @@ class TestMinimize:
     def test_star_example_two_terms(self, star_example, handwritten_pair):
         res = minimize_dnf(star_example, METRIC_TERMS)
         assert res.objective_value == 2
-        assert res.dnf == handwritten_pair.canonical()
+        assert res.dnf == canonical(handwritten_pair)
         assert dnf_function(res.dnf) == star_example
 
     def test_star_example_rank_metric(self, star_example, handwritten_pair):
         res = minimize_dnf(star_example, METRIC_RANK)
-        assert res.dnf == handwritten_pair.canonical()
+        assert res.dnf == canonical(handwritten_pair)
         assert res.objective_value == 9
 
     def test_chain_monotone_optimum_is_the_reduced_dnf(self):
@@ -762,6 +762,23 @@ class TestRemoveStep:
             for i in range(len(pool.terms)):
                 kept = dnf_function(without(pool, i)) == f
                 assert kept == absorbs(without(pool, i), pool.terms[i])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: absorbs_zero_free([ec(3, 1, [1], [1])], ec(3, 1, [1])), "term and conjunction shape mismatch"),
+        (lambda f: absorbs_zero_free([ec(4, 1, [1])], ec(3, 1, [1])), "term and conjunction shape mismatch"),
+        (lambda f: cover_instance(KFunction(3, 2, bytes(9)), reduced_dnf(f)), "pool and function shape mismatch"),
+        (lambda f: cover_instance(KFunction(2, 3, bytes(8)), reduced_dnf(f)), "pool and function shape mismatch"),
+    ],
+    ids=["term of another dimension", "term of another alphabet", "pool of another dimension",
+         "pool of another alphabet"],
+)
+def test_shape_mismatches_rejected(star_example, call, message):
+    with pytest.raises(ValueError) as err:
+        call(star_example)
+    assert str(err.value) == message
 
 
 class TestCoverInstance:

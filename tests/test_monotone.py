@@ -71,6 +71,21 @@ class TestOrders:
         assert not order.point_leq((1, 1), (2, 1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ValueOrder(2, (0b00, 0b11)), "order is not reflexive at 0"),
+        (lambda: ValueOrder(3, (0b001, 0b011, 0b110)), "order is not transitively closed"),  # 0 <= 1 <= 2, not 0 <= 2
+        (lambda: psi_estimate(0, 3), "dimension n=0 must be >= 1"),
+    ],
+    ids=["not reflexive", "not transitive", "psi at n=0"],
+)
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 class TestIsMonotone:
     def test_constant_functions(self):
         for order in (total_order(3), star_order(3)):

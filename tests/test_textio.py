@@ -25,6 +25,7 @@ from kdnf.core import all_points, check_shape, mask_values
 from kdnf.textio import _parse_canonical
 
 from .conftest import STAR_EXAMPLE_POINTS, ec, kfunctions
+from .instances import canonical
 
 EXAMPLE_TEXT = (
     "k=3 n=3 mode=total\n"
@@ -294,7 +295,7 @@ def reference_format_term(ec):
 def reference_print_dnf(d):
     if not d.terms:
         return "0\n"
-    return "".join(reference_format_term(t) + "\n" for t in d.canonical().terms)
+    return "".join(reference_format_term(t) + "\n" for t in canonical(d).terms)
 
 
 def seeded_dnf(k, n, seed, count):
@@ -327,7 +328,7 @@ class TestPrintMatchesReference:
         assert "(x10)" in variables and "(x20)" in variables
 
     def test_reversed_canonical_dnf_still_prints_sorted(self):
-        d = seeded_dnf(16, 5, 1, 60).canonical()
+        d = canonical(seeded_dnf(16, 5, 1, 60))
         backwards = Dnf(d.k, d.n, d.terms[::-1])
         assert print_dnf(backwards) == print_dnf(d) == reference_print_dnf(d)
         assert print_dnf(d).splitlines() != [reference_format_term(t) for t in backwards.terms]
@@ -341,7 +342,7 @@ class TestParseDnf:
     def test_round_trip(self, star_example):
         d = reduced_dnf(star_example).dnf
         text = "k=3 n=3\n" + print_dnf(d)
-        assert parse_dnf(text) == d.canonical()
+        assert parse_dnf(text) == canonical(d)
 
     def test_empty(self):
         assert parse_dnf("k=3 n=2\n0\n") == Dnf(3, 2)
@@ -358,6 +359,24 @@ class TestParseDnf:
         path.write_text(text)
         assert main(["absorb", str(path), "TRUE->1"]) == 3
         assert capsys.readouterr().err == "kdnf: capacity error: k**n = 2**1000000 exceeds the dense-table cap 1048576\n"
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_dnf, "", "line 1: missing header"),
+            (parse_dnf, "# comments only\n\n", "line 1: missing header"),
+            (parse_dnf, "\nk=3\nTRUE->1\n", "line 2: malformed header, expected 'k=K n=N'"),
+            (parse_dnf, "k=3 n=2 mode=total\n", "line 1: malformed header, expected 'k=K n=N'"),
+            (parse_dnf, "# c\nk=3 n=0\nTRUE->1\n", "line 2: n=0 must be >= 1"),
+            (parse_dnf, "k=3 n=2\nJ{1}(x1)->one\n", "line 2: gamma must be an integer"),
+            (lambda text: parse_term(text, 3, 2), "TRUE->", "line 1: gamma must be an integer"),
+            (lambda text: parse_term(text, 3, 2, 7), "J{1}(x2)->1.0", "line 7: gamma must be an integer"),
+        ],
+    )
+    def test_header_and_gamma_faults_name_their_line(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_term_round_trip(self):
         term = ec(4, 3, [1, 3], None, [0, 2])
